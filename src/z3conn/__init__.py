@@ -5,9 +5,8 @@ from .builder import ConstructionError, RealizationResult, realize, realize_fami
 from .catalog import base_graph, wheel
 from .enumerate import all_realizations, count_isomorphism_classes, verify_exception
 from .graph import (GraphError, Multigraph, build_graph, contract,
-                    find_even_wheel, format_edgelist, induced_subgraph,
-                    is_triangularly_connected, lift, parse_edgelist,
-                    split_three_vertex, to_dot)
+                    find_even_wheel, format_edgelist,
+                    is_triangularly_connected, lift, parse_edgelist, to_dot)
 from .reducer import Certificate, certify, parse_certificate, replay
 from .seqcore import (Classification, DegreeSequence, Kind, Route, classify,
                       is_graphic, parse_sequence, residual)

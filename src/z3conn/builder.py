@@ -2,19 +2,24 @@
 
 Each covered sequence is built by one of four routes keyed on d1:
   T12 (d1 = n-1): enumeration search, no closed-form construction.
-  L41 (d1 = n-2): residual recursion when d3 >= 4; otherwise a wheel plus
+  L41 (d1 = n-2): a residual step when d3 >= 4; otherwise a wheel plus
     an independent set, or the (n-2,4,3^(n-2)) family.
-  T14 (d1 = n-3): residual recursion, or wheel-based gadgets for the
+  T14 (d1 = n-3): a residual step, or wheel-based gadgets for the
     (n-3,d2,3^(n-2)) and (n-3,4^2,3^(n-3)) shapes.
-  T15 (d1 <= n-4): residual recursion, the (4^(n-4),3^4) gluing family,
+  T15 (d1 <= n-4): a residual step, the (4^(n-4),3^4) gluing family,
     the (d1,4^(n-5),3^4) wheel gadgets (including a squared-cycle piece),
     and the (d1,4^(n-6),3^5) family built by inverse lifts from d1 = 5.
 
+A residual step deletes the smallest degree (see seqcore.residual).  The
+builder loops: it peels residual steps until some route builds the rest
+in closed form, then re-attaches the peeled vertices in reverse order.
+
 Constructions carry their own reduction certificate: a list of lift and
-contraction steps that collapses the graph to a single vertex, composable
-across recursion (merging never deletes vertices, so edges added between
-sub-constructions survive until their turn).  Search-based results carry
-no steps and fall back to the certifier or the oracle.
+contraction steps that collapses the graph to a single vertex.  Steps of
+separately built pieces compose (merging never deletes vertices, so edges
+added between pieces survive until their turn), and each re-attached
+vertex adds one 2-cycle contraction.  Search-based results carry no steps
+and fall back to the certifier or the oracle.
 """
 from __future__ import annotations
 
@@ -29,7 +34,6 @@ from .seqcore import (Classification, DegreeSequence, Kind, Route, classify,
                       residual)
 from .verifier import DEFAULT_CAP, is_z3_connected
 
-FALLBACK_N_MAX = 12
 FALLBACK_LIMIT = 10 ** 6
 
 
@@ -78,13 +82,12 @@ def realize(seq: DegreeSequence, oracle_cap: int = DEFAULT_CAP,
             seq, c, "exception",
             trace=(f"no Z3-connected realization exists ({c.kind.value})",))
     if c.kind == Kind.COVERED:
-        pack = _dispatch(seq)
+        pack = _build(seq, c.route)
         return _finish(seq, c, pack, oracle_cap)
     # out of coverage
-    if allow_fallback and seq.n <= FALLBACK_N_MAX:
+    if allow_fallback and seq.n <= ENUMERATE_N_MAX:
         try:
-            pack = _search_pack(seq, DEFAULT_CAP,
-                                note="out-of-coverage fallback search")
+            pack = _search_pack(seq, "out-of-coverage fallback search")
         except ConstructionError:
             return RealizationResult(
                 seq, c, "unsupported",
@@ -98,7 +101,7 @@ def realize(seq: DegreeSequence, oracle_cap: int = DEFAULT_CAP,
 
 def realize_family(seq: DegreeSequence, route: Route) -> Multigraph:
     """The raw construction for a covered route, without verification."""
-    pack = _ROUTES[route](seq)
+    pack = _build(seq, route)
     _validate(seq, pack.graph)
     return pack.graph
 
@@ -139,38 +142,58 @@ def _validate(seq: DegreeSequence, G: Multigraph):
             f"!= {seq.render()}")
 
 
-def _dispatch(seq: DegreeSequence) -> _Pack:
-    c = classify(seq)
-    if c.kind != Kind.COVERED:
-        raise ConstructionError(
-            f"recursion left the covered families at {seq.render()} "
-            f"({c.kind.value})")
-    return _ROUTES[c.route](seq)
+def _build(seq: DegreeSequence, route: Route) -> _Pack:
+    """Build a covered sequence on the given route.
+
+    Route builders return None where they take a residual step.  Each
+    such step peels the smallest-degree vertex; once a route builds the
+    remaining sequence in closed form, the peeled vertices are attached
+    back in reverse, each to the lowest-labeled vertices whose current
+    degrees match the entries the residual decremented.
+    """
+    peeled: list[list[int]] = []  # per step, the anchors' current degrees
+    trace: list[str] = []
+    while (pack := _ROUTES[route](seq)) is None:
+        rest = residual(seq).sequence
+        k = seq.degrees[-1]
+        trace.append(f"{_RESIDUAL_NOTES[route]}: attach degree-{k} vertex "
+                     f"to realization of {rest.render()}")
+        peeled.append([d - 1 for d in seq.degrees[:k]])
+        c = classify(rest)
+        if c.kind != Kind.COVERED:
+            raise ConstructionError(
+                f"residual steps left the covered families at "
+                f"{rest.render()} ({c.kind.value})")
+        seq, route = rest, c.route
+    edges = list(pack.graph.edges)
+    degs = pack.graph.degrees()
+    for needed in reversed(peeled):
+        anchors = _pick_by_degrees(degs, needed)
+        v = len(degs)
+        edges += [(a, v) for a in anchors]
+        for a in anchors:
+            degs[a] += 1
+        degs.append(len(anchors))
+        if pack.steps is not None:
+            pack.steps.append(two_cycle_step(anchors[0], v))
+    return _Pack(Multigraph(len(degs), tuple(edges)), pack.steps,
+                 trace + pack.trace)
 
 
 # ---------------------------------------------------------------- helpers
 
-def _pick_by_degrees(G: Multigraph, needed: list[int]) -> list[int]:
+def _pick_by_degrees(degs: list[int], needed: list[int]) -> list[int]:
     """Distinct vertices matching the needed degrees, lowest labels first."""
-    degs = G.degrees()
     used: set[int] = set()
     picks = []
     for want in needed:
-        v = next((v for v in range(G.n) if v not in used and degs[v] == want),
-                 None)
+        v = next((v for v in range(len(degs))
+                  if v not in used and degs[v] == want), None)
         if v is None:
             raise ConstructionError(f"no spare vertex of degree {want}")
         used.add(v)
         picks.append(v)
     return picks
-
-
-def _wheel_edges(rim: int) -> list[tuple[int, int]]:
-    """Wheel with hub 0 and rim 1..rim (rim >= 3)."""
-    edges = [(0, i) for i in range(1, rim + 1)]
-    edges += [(i, i + 1) for i in range(1, rim)]
-    edges.append((1, rim))
-    return edges
 
 
 def _matching(vertices: list[int]) -> list[tuple[int, int]]:
@@ -250,39 +273,15 @@ def _glue(p1: _Pack, p2: _Pack, pairs: list[tuple[int, int]],
     return _Pack(G, steps, [note] + p1.trace + p2.trace)
 
 
-def _residual_attach(seq: DegreeSequence, note: str) -> _Pack:
-    """Realize the residual sequence recursively, then re-attach a new
-    minimum-degree vertex to vertices matching the decremented entries."""
-    rr = residual(seq)
-    sub = _dispatch(rr.sequence)
-    k = seq.degrees[-1]
-    needed = sorted((seq.degrees[i] - 1 for i in range(k)), reverse=True)
-    anchors = _pick_by_degrees(sub.graph, needed)
-    v = sub.graph.n
-    G = Multigraph(v + 1, sub.graph.edges + tuple((a, v) for a in anchors))
-    steps = None
-    if sub.steps is not None:
-        steps = sub.steps + [two_cycle_step(anchors[0], v)]
-    trace = [f"{note}: attach degree-{k} vertex to realization of "
-             f"{rr.sequence.render()}"]
-    return _Pack(G, steps, trace + sub.trace)
-
-
-def _search_pack(seq: DegreeSequence, oracle_cap: int, note: str) -> _Pack:
+def _search_pack(seq: DegreeSequence, note: str) -> _Pack:
     """Enumerate labeled realizations until one verifies Z3-connected."""
-    if seq.n > min(FALLBACK_N_MAX, ENUMERATE_N_MAX):
+    if seq.n > ENUMERATE_N_MAX:
         raise ConstructionError(
-            f"search fallback limited to n<={FALLBACK_N_MAX}, got {seq.n}")
+            f"search fallback limited to n<={ENUMERATE_N_MAX}, got {seq.n}")
     checked = 0
     for G in all_realizations(seq, limit=FALLBACK_LIMIT):
         checked += 1
-        if not G.is_connected():
-            continue
-        if G.n <= oracle_cap:
-            ok = is_z3_connected(G, oracle_cap)
-        else:
-            ok = certify(G).proved
-        if ok:
+        if G.is_connected() and is_z3_connected(G):
             return _Pack(G, None,
                          [f"{note}: candidate {checked} verified"])
     raise ConstructionError(
@@ -292,16 +291,16 @@ def _search_pack(seq: DegreeSequence, oracle_cap: int, note: str) -> _Pack:
 # ----------------------------------------------------------- route: T12
 
 def _build_t12(seq: DegreeSequence) -> _Pack:
-    return _search_pack(seq, DEFAULT_CAP, "dominating-vertex family via search")
+    return _search_pack(seq, "dominating-vertex family via search")
 
 
 # ----------------------------------------------------------- route: L41
 
-def _build_l41(seq: DegreeSequence) -> _Pack:
+def _build_l41(seq: DegreeSequence) -> _Pack | None:
     d = seq.degrees
     n = seq.n
     if d[2] >= 4:
-        return _residual_attach(seq, "d1=n-2 with d3>=4")
+        return None
     d2 = d[1]
     if d2 == 4:
         return _l31_i(n)
@@ -310,7 +309,7 @@ def _build_l41(seq: DegreeSequence) -> _Pack:
         rim = n - d2 + 2
         S = list(range(rim + 1, rim + 1 + (d2 - 4)))
         x = n - 1
-        edges = _wheel_edges(rim)
+        edges = list(wheel(rim).edges)
         edges += [(0, s) for s in S]
         edges += [(1, s) for s in S]
         edges += _matching(S[2:])
@@ -323,7 +322,7 @@ def _build_l41(seq: DegreeSequence) -> _Pack:
         rim = n - d2 + 1
         S = list(range(rim + 1, rim + 1 + (d2 - 3)))
         x = n - 1
-        edges = _wheel_edges(rim)
+        edges = list(wheel(rim).edges)
         edges += [(0, s) for s in S]
         edges += [(1, s) for s in S]
         edges += [(S[0], x), (S[1], x), (S[2], x)]
@@ -346,7 +345,7 @@ def _l31_i(n: int) -> _Pack:
     if n % 2 == 1:
         rim = n - 5
         u1, u2, u3, u4 = n - 4, n - 3, n - 2, n - 1
-        edges = _wheel_edges(rim)
+        edges = list(wheel(rim).edges)
         edges += [(u1, u2), (u2, u3), (u3, u4), (u1, u4), (u2, u4)]
         edges += [(0, u1), (0, u2), (0, u3)]
         steps = [wheel_step(0, tuple(range(1, rim + 1))),
@@ -368,14 +367,14 @@ def _l31_i(n: int) -> _Pack:
 
 # ----------------------------------------------------------- route: T14
 
-def _build_t14(seq: DegreeSequence) -> _Pack:
+def _build_t14(seq: DegreeSequence) -> _Pack | None:
     d = seq.degrees
     n = seq.n
     if d[2] == 3:
         return _t14_two_heavy(seq)
     if d == (n - 3, 4, 4) + (3,) * (n - 3):
         return _t14_shape_442(n)
-    return _residual_attach(seq, "d1=n-3 with enough degree above 3")
+    return None
 
 
 def _t14_two_heavy(seq: DegreeSequence) -> _Pack:
@@ -388,7 +387,7 @@ def _t14_two_heavy(seq: DegreeSequence) -> _Pack:
         if n % 2 == 1:
             rim = n - 5
             s1, s2, x1, x2 = n - 4, n - 3, n - 2, n - 1
-            edges = _wheel_edges(rim)
+            edges = list(wheel(rim).edges)
             edges += [(0, s1), (0, s2)]
             edges += [(1, x1), (s1, x1), (s2, x1)]
             edges += [(1, x2), (s1, x2), (s2, x2)]
@@ -398,7 +397,7 @@ def _t14_two_heavy(seq: DegreeSequence) -> _Pack:
                          [f"wheel W{rim} with two 3-fans, odd case"])
         rim = n - 6
         s1, s2, s3, x1, x2 = n - 5, n - 4, n - 3, n - 2, n - 1
-        edges = _wheel_edges(rim)
+        edges = list(wheel(rim).edges)
         edges += [(0, s1), (0, s2), (0, s3), (1, s1)]
         edges += [(1, x1), (s2, x1), (s3, x1)]
         edges += [(s1, x2), (s2, x2), (s3, x2)]
@@ -413,7 +412,7 @@ def _t14_two_heavy(seq: DegreeSequence) -> _Pack:
         S = list(range(rim + 1, rim + 1 + (d2 - 4)))
         x1, x2 = n - 2, n - 1
         s, S1 = S[0], S[1:]
-        edges = _wheel_edges(rim)
+        edges = list(wheel(rim).edges)
         edges += [(0, t) for t in S]
         edges += [(1, t) for t in S1]
         edges += _matching(S1[2:])
@@ -430,7 +429,7 @@ def _t14_two_heavy(seq: DegreeSequence) -> _Pack:
         x1, x2 = n - 2, n - 1
         s3, s4 = S[0], S[1]
         S1 = S[2:]
-        edges = _wheel_edges(rim)
+        edges = list(wheel(rim).edges)
         edges += [(0, t) for t in S]
         edges += [(1, t) for t in S1]
         edges += [(1, x1), (s3, x1), (s4, x1)]
@@ -452,7 +451,7 @@ def _t14_shape_442(n: int) -> _Pack:
     if n % 2 == 1:
         rim = n - 5
         s1, s2, x1, x2 = n - 4, n - 3, n - 2, n - 1
-        edges = _wheel_edges(rim)
+        edges = list(wheel(rim).edges)
         edges += [(0, s1), (0, s2)]
         edges += [(1, x1), (s1, x1), (s2, x1)]
         edges += [(2, x2), (s1, x2), (s2, x2)]
@@ -462,7 +461,7 @@ def _t14_shape_442(n: int) -> _Pack:
                      [f"wheel W{rim} with 3-fans on two rim vertices, odd case"])
     rim = n - 6
     s1, s2, s3, x1, x2 = n - 5, n - 4, n - 3, n - 2, n - 1
-    edges = _wheel_edges(rim)
+    edges = list(wheel(rim).edges)
     edges += [(0, s1), (0, s2), (0, s3), (1, s1)]
     edges += [(2, x1), (s2, x1), (s3, x1)]
     edges += [(s1, x2), (s2, x2), (s3, x2)]
@@ -475,7 +474,7 @@ def _t14_shape_442(n: int) -> _Pack:
 
 # ----------------------------------------------------------- route: T15
 
-def _build_t15(seq: DegreeSequence) -> _Pack:
+def _build_t15(seq: DegreeSequence) -> _Pack | None:
     d = seq.degrees
     n = seq.n
     d1 = d[0]
@@ -491,7 +490,7 @@ def _build_t15(seq: DegreeSequence) -> _Pack:
         if d1 == n - 5:
             return _t15_wheel_path(n, long_head=True)
         return _t15_squared_cycle(seq)
-    return _residual_attach(seq, "d1<=n-4 with enough degree above 3")
+    return None
 
 
 def _l31_ii(n: int) -> _Pack:
@@ -506,7 +505,7 @@ def _l31_ii(n: int) -> _Pack:
         return _base_pack("fig2c", "fixed realization of (4^4,3^4)")
     if n == 9:
         # wheel W4 on 0..4 joined to a near-complete block on 5..8
-        edges = _wheel_edges(4)
+        edges = list(wheel(4).edges)
         edges += [(5, 6), (5, 7), (5, 8), (6, 7), (7, 8)]
         edges += [(1, 6), (2, 8), (3, 5)]
         steps = [wheel_step(0, (1, 2, 3, 4)),
@@ -516,8 +515,8 @@ def _l31_ii(n: int) -> _Pack:
     k = n // 2
     p1 = _l31_ii(k)
     p2 = _l31_ii(n - k)
-    a = _pick_by_degrees(p1.graph, [3, 3])
-    b = _pick_by_degrees(p2.graph, [3, 3])
+    a = _pick_by_degrees(p1.graph.degrees(), [3, 3])
+    b = _pick_by_degrees(p2.graph.degrees(), [3, 3])
     return _glue(p1, p2, [(a[0], b[0]), (a[1], b[1])],
                  f"glue (4^{k - 4},3^4) and (4^{n - k - 4},3^4) on two "
                  "3-vertex pairs")
@@ -530,7 +529,7 @@ def _l31_iii(n: int) -> _Pack:
     if n == 8:
         return _base_pack("fig2b", "fixed realization of (5,4^2,3^5)")
     if n == 9:
-        edges = _wheel_edges(4)
+        edges = list(wheel(4).edges)
         edges += [(5, 6), (5, 7), (5, 8), (6, 7), (7, 8)]
         edges += [(0, 6), (1, 5), (2, 8)]
         steps = [wheel_step(0, (1, 2, 3, 4)),
@@ -540,9 +539,9 @@ def _l31_iii(n: int) -> _Pack:
     k = n // 2
     p1 = _l31_ii(k)
     p2 = _l31_ii(n - k)
-    u1 = _pick_by_degrees(p1.graph, [4])[0]
-    u2 = _pick_by_degrees(p1.graph, [3])[0]
-    b = _pick_by_degrees(p2.graph, [3, 3])
+    u1 = _pick_by_degrees(p1.graph.degrees(), [4])[0]
+    u2 = _pick_by_degrees(p1.graph.degrees(), [3])[0]
+    b = _pick_by_degrees(p2.graph.degrees(), [3, 3])
     return _glue(p1, p2, [(u1, b[0]), (u2, b[1])],
                  f"glue (4^{k - 4},3^4) and (4^{n - k - 4},3^4) raising one "
                  "4-vertex to degree 5")
@@ -566,7 +565,7 @@ def _t15_wheel_path(n: int, long_head: bool) -> _Pack:
         xs = [n - 3, n - 2, n - 1]
         hook_targets = [1, 2, 3, 4, 5]
         hooks = [(xs[0], 1), (xs[0], 2), (xs[1], 3), (xs[2], 4), (xs[2], 5)]
-    edges = _wheel_edges(rim)
+    edges = list(wheel(rim).edges)
     edges += [(xs[i], xs[i + 1]) for i in range(len(xs) - 1)]
     edges += hooks
     leftover = [v for v in range(1, rim + 1) if v not in hook_targets]
@@ -586,7 +585,7 @@ def _t15_squared_cycle(seq: DegreeSequence) -> _Pack:
     if m < 5:
         raise ConstructionError("squared-cycle piece needs at least 5 vertices")
     u = [0] + [d1 + i for i in range(1, m + 1)]  # u[i] for i in 1..m
-    edges = _wheel_edges(d1)
+    edges = list(wheel(d1).edges)
     edges += [(u[i], u[i + 1]) for i in range(1, m)] + [(u[m], u[1])]
     # distance-2 chords, except the one between u2 and the last cycle vertex
     edges += [(u[i], u[i + 2]) for i in range(1, m - 1)]
@@ -614,7 +613,7 @@ def _t15_inverse_lift(seq: DegreeSequence) -> _Pack:
     n = seq.n
     sub = _l31_iii(n)
     G = sub.graph
-    u = _pick_by_degrees(G, [5])[0]
+    u = _pick_by_degrees(G.degrees(), [5])[0]
     closed = set(G.neighbors(u)) | {u}
     picked = []
     used: set[int] = set(closed)
@@ -641,6 +640,13 @@ def _t15_inverse_lift(seq: DegreeSequence) -> _Pack:
                  [f"inverse lifts of {len(picked)} edges onto the 5-vertex"]
                  + sub.trace)
 
+
+# Trace note for each route's residual step, keyed by the route taking it.
+_RESIDUAL_NOTES = {
+    Route.L41: "d1=n-2 with d3>=4",
+    Route.T14: "d1=n-3 with enough degree above 3",
+    Route.T15: "d1<=n-4 with enough degree above 3",
+}
 
 _ROUTES = {
     Route.T12: _build_t12,

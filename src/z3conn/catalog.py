@@ -7,6 +7,7 @@ role of the highest-degree vertex in each.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .graph import Multigraph
@@ -51,7 +52,9 @@ CERTIFIABLE_BASES = ("k5", "k5minus", "fig1a", "fig1b", "fig1c", "fig1d",
                      "fig2a", "fig2b", "fig2c", "k44")
 
 
+@functools.cache
 def base_graph(name: str) -> Multigraph:
+    """The named base graph, built once (Multigraph is immutable)."""
     try:
         edges = _BASE_EDGES[name]
     except KeyError:

@@ -5,6 +5,10 @@ Enumeration is a backtracking search assigning, for each vertex in turn,
 its set of higher-indexed neighbors, pruning branches whose remaining
 degree demand is not graphic.  Every labeled simple realization appears
 exactly once.  The vertex count is capped because the space is enormous.
+
+Deduplication buckets graphs by Weisfeiler-Lehman hash and confirms a
+repeat with an exact isomorphism test, so the first graph enumerated in
+each isomorphism class is the one kept.
 """
 from __future__ import annotations
 
@@ -14,52 +18,14 @@ from typing import Iterator
 import networkx as nx
 
 from .graph import Multigraph
-from .seqcore import Classification, DegreeSequence, Kind, classify
+from .seqcore import DegreeSequence, Kind, classify, is_graphic
 from .verifier import DEFAULT_CAP, is_z3_connected
 
 ENUMERATE_N_MAX = 12
-EXACT_CANONICAL_N_MAX = 8
 
 
 class EnumerationCapError(ValueError):
     """Sequence too large for exhaustive enumeration."""
-
-
-def erdos_gallai(degrees) -> bool:
-    """Graphicality by the sum inequalities; degrees must be nonincreasing."""
-    d = list(degrees)
-    if any(x < 0 for x in d) or sum(d) % 2 == 1:
-        return False
-    n = len(d)
-    prefix = 0
-    for k in range(1, n + 1):
-        prefix += d[k - 1]
-        tail = sum(min(x, k) for x in d[k:])
-        if prefix > k * (k - 1) + tail:
-            return False
-    return True
-
-
-def havel_hakimi_graph(seq: DegreeSequence) -> Multigraph:
-    """One concrete realization: repeatedly connect the highest-degree
-    vertex to the next-highest ones.  Raises on non-graphic input."""
-    items = [[d, v] for v, d in enumerate(seq.degrees)]
-    edges = []
-    while True:
-        items.sort(key=lambda t: (-t[0], t[1]))
-        if items[0][0] == 0:
-            break
-        head = items[0]
-        need = head[0]
-        head[0] = 0
-        if need > len(items) - 1:
-            raise ValueError(f"sequence {seq.render()} is not graphic")
-        for other in items[1:need + 1]:
-            if other[0] == 0:
-                raise ValueError(f"sequence {seq.render()} is not graphic")
-            other[0] -= 1
-            edges.append((head[1], other[1]))
-    return Multigraph(seq.n, tuple(edges))
 
 
 def all_realizations(seq: DegreeSequence, limit: int | None = None,
@@ -72,14 +38,13 @@ def all_realizations(seq: DegreeSequence, limit: int | None = None,
     n = seq.n
     if n > ENUMERATE_N_MAX:
         raise EnumerationCapError(f"enumeration limited to n<={ENUMERATE_N_MAX}, got {n}")
-    if not erdos_gallai(seq.degrees):
+    if not is_graphic(seq):
         return
-    seen_exact: set = set()
-    seen_nx: dict[str, list] = {}
+    seen: dict[str, list[nx.Graph]] = {}
     count = 0
     for edges in _assign(list(seq.degrees), 0, []):
         G = Multigraph(n, tuple(edges))
-        if dedup and not _is_new(G, seen_exact, seen_nx):
+        if dedup and not _is_new(G, seen):
             continue
         yield G
         count += 1
@@ -103,56 +68,27 @@ def _assign(deg: list[int], v: int, edges: list) -> Iterator[list]:
         deg[v] = 0
         for u in combo:
             deg[u] -= 1
-        if erdos_gallai(sorted(deg[v + 1:], reverse=True)):
+        if is_graphic(sorted(deg[v + 1:], reverse=True)):
             yield from _assign(deg, v + 1, edges + [(v, u) for u in combo])
         for u in combo:
             deg[u] += 1
         deg[v] = r
 
 
-def _is_new(G: Multigraph, seen_exact: set, seen_nx: dict) -> bool:
-    if G.n <= EXACT_CANONICAL_N_MAX:
-        key = canonical_form(G)
-        if key in seen_exact:
-            return False
-        seen_exact.add(key)
-        return True
+def _is_new(G: Multigraph, seen: dict[str, list[nx.Graph]]) -> bool:
+    """Whether G is isomorphic to no graph in `seen`; if so, record it."""
     H = nx.Graph()
-    H.add_nodes_from(range(G.n))
+    # explicit degree labels: without any label networkx warns on every
+    # process's first hash that its unlabeled hashes changed in v3.5
+    H.add_nodes_from((v, {"deg": d}) for v, d in enumerate(G.degrees()))
     H.add_edges_from(G.edges)
-    wl = nx.weisfeiler_lehman_graph_hash(H)
-    bucket = seen_nx.setdefault(wl, [])
+    wl = nx.weisfeiler_lehman_graph_hash(H, node_attr="deg")
+    bucket = seen.setdefault(wl, [])
     for other in bucket:
         if nx.is_isomorphic(H, other):
             return False
     bucket.append(H)
     return True
-
-
-def canonical_form(G: Multigraph) -> tuple:
-    """Exact canonical edge set for small simple graphs: the minimum over
-    all degree-preserving relabelings after sorting vertices by degree."""
-    if G.n > EXACT_CANONICAL_N_MAX:
-        raise EnumerationCapError(f"exact canonical form limited to n<={EXACT_CANONICAL_N_MAX}")
-    order = sorted(range(G.n), key=lambda v: (-G.degree(v), v))
-    blocks = []
-    degs = G.degrees()
-    i = 0
-    while i < len(order):
-        j = i
-        while j < len(order) and degs[order[j]] == degs[order[i]]:
-            j += 1
-        blocks.append(order[i:j])
-        i = j
-    best = None
-    for perms in itertools.product(*(itertools.permutations(b) for b in blocks)):
-        flat = [v for p in perms for v in p]
-        pos = {v: i for i, v in enumerate(flat)}
-        key = tuple(sorted((min(pos[u], pos[v]), max(pos[u], pos[v]))
-                           for u, v in G.edges))
-        if best is None or key < best:
-            best = key
-    return best
 
 
 def count_isomorphism_classes(seq: DegreeSequence, limit: int | None = None) -> int:

@@ -1,7 +1,7 @@
 """Undirected multigraphs on vertices 0..n-1 and the operations used by the
 realization builder and the reduction certifier: contraction, lifting,
-splitting at a degree-3 vertex, even-wheel detection, triangular
-connectivity, and edge-list / DOT serialization.
+even-wheel detection, triangular connectivity, and edge-list / DOT
+serialization.
 
 Edges are stored as an ordered tuple of (tail, head) pairs; the pair order
 is only a reference orientation, the graph is undirected.  Parallel edges
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from collections import Counter
 
 from .seqcore import DegreeSequence
 
@@ -67,13 +66,6 @@ class Multigraph:
                 out.add(a)
         return sorted(out)
 
-    def adjacency(self) -> list[Counter]:
-        adj = [Counter() for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u][v] += 1
-            adj[v][u] += 1
-        return adj
-
     def is_simple(self) -> bool:
         seen = set()
         for u, v in self.edges:
@@ -127,24 +119,6 @@ def contract(G: Multigraph, block) -> tuple[Multigraph, list[int]]:
     return Multigraph(len(kept), tuple(edges)), mapping
 
 
-def induced_subgraph(G: Multigraph, vertices) -> tuple[Multigraph, list[int]]:
-    """Subgraph induced by `vertices`, relabeled to 0..k-1 in sorted order.
-
-    Returns the subgraph and the list of original labels (new-to-old).
-    """
-    keep = sorted(set(vertices))
-    if not keep or not set(keep) <= set(range(G.n)):
-        raise GraphError("induced subgraph needs a nonempty vertex subset")
-    index = {v: i for i, v in enumerate(keep)}
-    edges = [(index[u], index[v]) for u, v in G.edges if u in index and v in index]
-    return Multigraph(len(keep), tuple(edges)), keep
-
-
-def remove_vertex(G: Multigraph, v: int) -> tuple[Multigraph, list[int]]:
-    """Delete v and its incident edges; returns (graph, new-to-old labels)."""
-    return induced_subgraph(G, [u for u in range(G.n) if u != v])
-
-
 def lift(G: Multigraph, u: int, v: int, w: int) -> Multigraph:
     """Lift at u: remove one edge uv and one edge uw, add edge vw.
 
@@ -167,34 +141,6 @@ def lift(G: Multigraph, u: int, v: int, w: int) -> Multigraph:
     drop_one(u, w)
     edges.append((v, w))
     return Multigraph(G.n, tuple(edges))
-
-
-def split_three_vertex(G: Multigraph, v: int, keep: int) -> Multigraph:
-    """Split at a degree-3 vertex v relative to its neighbor `keep`.
-
-    Removes v, whose incident edges go to `keep` and two other endpoints
-    a, b; adds the edge ab (the edge to `keep` is simply deleted with v).  The result is relabeled with v deleted
-    (vertices above v shift down by one).  Requires deg(v) == 3, an edge
-    from v to `keep`, and a != b.
-    """
-    if G.degree(v) != 3:
-        raise GraphError(f"vertex {v} must have degree 3, has {G.degree(v)}")
-    incident = []
-    rest = []
-    for a, b in G.edges:
-        if v in (a, b):
-            incident.append(b if a == v else a)
-        else:
-            rest.append((a, b))
-    if keep not in incident:
-        raise GraphError(f"no edge from {v} to {keep}")
-    incident.remove(keep)
-    a, b = incident
-    if a == b:
-        raise GraphError("split would create a loop")
-    rest.append((a, b))
-    mapping = {x: (x if x < v else x - 1) for x in range(G.n) if x != v}
-    return Multigraph(G.n - 1, tuple((mapping[x], mapping[y]) for x, y in rest))
 
 
 def find_even_wheel(G: Multigraph, max_rim: int = 8) -> tuple[int, tuple[int, ...]] | None:

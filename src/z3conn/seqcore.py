@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import itertools
 import re
+from typing import Sequence
 
 
 class SequenceError(ValueError):
@@ -123,25 +125,28 @@ def parse_sequence(text: str) -> DegreeSequence:
     return DegreeSequence.of(degrees)
 
 
-def is_graphic(seq: DegreeSequence) -> bool:
-    """Whether some simple graph has exactly these degrees.
+def is_graphic(seq: DegreeSequence | Sequence[int]) -> bool:
+    """Whether some simple graph has exactly these degrees (Erdős–Gallai).
 
-    Repeatedly deletes the smallest degree d and decrements the d largest
-    remaining entries; the sequence is graphic iff this never goes wrong.
+    Takes a DegreeSequence or any nonincreasing sequence of nonnegative
+    ints (zeros allowed).  Checks, for every k, that the k largest degrees
+    sum to at most k(k-1) + sum(min(d_i, k) for the rest) in O(n): prefix
+    sums give both sides, and a pointer tracks how many entries are >= k.
     """
-    d = list(seq.degrees)
-    if sum(d) % 2 == 1:
+    d = seq.degrees if isinstance(seq, DegreeSequence) else seq
+    n = len(d)
+    prefix = list(itertools.accumulate(d, initial=0))
+    total = prefix[n]
+    if total % 2 == 1:
         return False
-    while d:
-        d.sort(reverse=True)
-        if d[-1] == 0:
-            d.pop()
-            continue
-        last = d.pop()
-        if last > len(d):
+    at_least_k = n  # entries d[0..at_least_k) are >= k
+    for k in range(1, n + 1):
+        while at_least_k and d[at_least_k - 1] < k:
+            at_least_k -= 1
+        cut = max(at_least_k, k)
+        tail = k * (cut - k) + total - prefix[cut]
+        if prefix[k] > k * (k - 1) + tail:
             return False
-        for i in range(last):
-            d[i] -= 1
     return True
 
 

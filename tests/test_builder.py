@@ -77,9 +77,11 @@ def test_low_maximum_families():
 
 
 def test_certificates_scale_past_oracle_cap():
-    # closed-form constructions carry their own proof, so size is no bar
+    # closed-form constructions carry their own proof, so size is no bar;
+    # the n = 1000 T14 sequence takes 349 residual steps, which must not
+    # recurse once per step under the default recursion limit
     for text in ["(14,4,3^14)", "(13,5,3^14)", "(6,4^13,3^4)",
-                 "(4^12,3^4)", "(9,4^9,3^5)"]:
+                 "(4^12,3^4)", "(9,4^9,3^5)", "(997,4^700,3^299)"]:
         res = run(text)
         assert res.status == "realized"
         assert res.proof == "certificate"

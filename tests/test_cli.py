@@ -1,5 +1,6 @@
 import io
 import json
+import pathlib
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -7,6 +8,8 @@ import pytest
 from z3conn.cli import main
 from z3conn.graph import format_edgelist, parse_edgelist
 from z3conn.verifier import is_z3_connected
+
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
 
 def run_cli(*argv):
@@ -138,6 +141,15 @@ def test_enumerate_command():
     code, out, _ = run_cli("enumerate", "(3,3,1,1)")
     assert code == 1
     assert "# total: 0" in out
+
+
+@pytest.mark.parametrize("text, name", [("(4,3^6)", "dedup_4_3x6.txt"),
+                                        ("(3^6)", "dedup_3x6.txt")])
+def test_enumerate_dedup_matches_golden(text, name):
+    # pins which labeled graph represents each isomorphism class
+    code, out, _ = run_cli("enumerate", "--dedup", text)
+    assert code == 0
+    assert out == (GOLDEN_DIR / name).read_text()
 
 
 def test_sweep_command_small():

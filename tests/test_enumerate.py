@@ -4,11 +4,8 @@ import random
 import pytest
 
 from z3conn.enumerate import (EnumerationCapError, all_realizations,
-                              canonical_form, count_isomorphism_classes,
-                              erdos_gallai, havel_hakimi_graph,
-                              verify_exception)
-from z3conn.graph import Multigraph, build_graph
-from z3conn.seqcore import DegreeSequence, parse_sequence
+                              count_isomorphism_classes, verify_exception)
+from z3conn.seqcore import DegreeSequence, is_graphic, parse_sequence
 
 from helpers import brute_force_graphic, erdos_gallai_reference
 
@@ -18,22 +15,14 @@ def seq(text):
 
 
 def test_erdos_gallai_against_reference():
+    # raw nonincreasing lists as enumeration prunes on: zeros allowed, and
+    # entries up to n so that d1 > n-1 is exercised too
     rng = random.Random(5)
     for _ in range(500):
         n = rng.randint(1, 8)
-        degrees = sorted((rng.randint(0, n - 1) for _ in range(n)),
+        degrees = sorted((rng.randint(0, n) for _ in range(n)),
                          reverse=True)
-        assert erdos_gallai(degrees) == erdos_gallai_reference(degrees)
-
-
-def test_havel_hakimi_realizes():
-    for text in ["(3^4)", "(5,3^5)", "(6,5,4^4,3)", "(4^2,3^4)"]:
-        s = seq(text)
-        G = havel_hakimi_graph(s)
-        assert G.is_simple()
-        assert G.degree_sequence() == s
-    with pytest.raises(ValueError):
-        havel_hakimi_graph(DegreeSequence((3, 3, 1, 1)))
+        assert is_graphic(degrees) == erdos_gallai_reference(degrees)
 
 
 def labeled_count(s):
@@ -101,22 +90,13 @@ def test_dedup_representatives_are_nonisomorphic():
 
 def test_dedup_crosses_exact_canonical_cutoff():
     # a dominating vertex plus a forced matching: 15 labeled graphs, all
-    # isomorphic; n=9 exercises the hash-plus-isomorphism dedup path
-    # instead of exact canonical forms
+    # isomorphic, at n=8 and n=9 alike
     s8 = seq("(7,2^6,1)")
     s9 = seq("(8,2^6,1^2)")
     assert sum(1 for _ in all_realizations(s8)) == 15
     assert count_isomorphism_classes(s8) == 1
     assert sum(1 for _ in all_realizations(s9)) == 15
     assert count_isomorphism_classes(s9) == 1
-
-
-def test_canonical_form_invariant_under_relabeling():
-    G = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    H = build_graph(4, [(0, 2), (2, 1), (1, 3), (3, 0)])
-    assert canonical_form(G) == canonical_form(H)
-    tri = build_graph(4, [(0, 1), (1, 2), (2, 0), (0, 3)])
-    assert canonical_form(G) != canonical_form(tri)
 
 
 def test_limit_and_cap():

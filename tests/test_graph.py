@@ -6,8 +6,8 @@ from z3conn.catalog import base_graph, wheel
 from z3conn.graph import (GraphError, Multigraph, build_graph,
                           complete_bipartite, complete_graph, contract,
                           cycle_graph, find_even_wheel, format_edgelist,
-                          induced_subgraph, is_triangularly_connected, lift,
-                          parse_edgelist, split_three_vertex, to_dot)
+                          is_triangularly_connected, lift, parse_edgelist,
+                          to_dot)
 
 from helpers import random_multigraph
 
@@ -55,15 +55,6 @@ def test_contract_mapping_is_order_preserving():
     assert H.degree(1) == 4
 
 
-def test_induced_subgraph():
-    G = base_graph("fig1a")
-    H, labels = induced_subgraph(G, [0, 1, 4, 5])
-    assert labels == [0, 1, 4, 5]
-    assert H.n == 4
-    # edges among {0,1,4,5}: 01, 04, 05, 14, 15
-    assert H.m == 5
-
-
 def test_lift_rewires_two_edges():
     G = complete_graph(5)
     H = lift(G, 0, 1, 2)
@@ -74,22 +65,6 @@ def test_lift_rewires_two_edges():
         lift(G, 0, 1, 1)
     with pytest.raises(GraphError):
         lift(build_graph(3, [(0, 1)]), 0, 1, 2)
-
-
-def test_split_three_vertex_k4():
-    G = complete_graph(4)
-    H = split_three_vertex(G, 3, keep=0)
-    assert H.n == 3
-    assert H.edge_multiplicity(1, 2) == 2
-    assert H.degree(0) == 2
-
-
-def test_split_three_vertex_validates():
-    G = complete_graph(4)
-    with pytest.raises(GraphError):
-        split_three_vertex(G, 3, keep=3)
-    with pytest.raises(GraphError):
-        split_three_vertex(build_graph(3, [(0, 1), (0, 1), (0, 2)]), 0, keep=2)
 
 
 def test_find_even_wheel_in_wheels():
@@ -106,10 +81,12 @@ def test_find_even_wheel_in_k5():
 
 
 def test_find_even_wheel_after_split():
-    # splitting the figure graph for (6,4,3^6) at its degree-3 vertex
-    # adjacent to both hubs exposes a 4-wheel around the main hub
-    G = base_graph("fig1c")
-    H = split_three_vertex(G, 2, keep=3)
+    # the figure graph for (6,4,3^6) with its degree-3 vertex 2 split off
+    # (neighbor 3 dropped, the other two joined): a 4-wheel appears around
+    # the main hub, which has no even wheel before the split
+    assert find_even_wheel(base_graph("fig1c")) is None
+    H = build_graph(7, [(0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (1, 3),
+                        (1, 4), (1, 6), (2, 3), (4, 5), (5, 6), (0, 1)])
     found = find_even_wheel(H)
     assert found is not None
     hub, rim = found
