@@ -281,7 +281,7 @@ def _search_pack(seq: DegreeSequence, note: str) -> _Pack:
     checked = 0
     for G in all_realizations(seq, limit=FALLBACK_LIMIT):
         checked += 1
-        if G.is_connected() and is_z3_connected(G):
+        if is_z3_connected(G):
             return _Pack(G, None,
                          [f"{note}: candidate {checked} verified"])
     raise ConstructionError(

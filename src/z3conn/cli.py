@@ -4,7 +4,7 @@ Subcommands: classify, realize, verify, certify, enumerate, sweep.
 Exit codes: 0 for a positive answer (realized, Z3-connected, certified,
 sweep clean), 1 for a negative mathematical answer (not graphic, exception
 family, not Z3-connected, no certificate found), 2 for usage, input, or
-size-cap errors.
+size-cap errors, including an oracle that cannot allocate its arrays.
 """
 from __future__ import annotations
 
@@ -30,7 +30,8 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (SequenceError, GraphError, reducer.CertificateError,
             OracleCapError, enum_mod.EnumerationCapError,
-            builder.ConstructionError, OSError, ValueError) as exc:
+            builder.ConstructionError, OSError, ValueError,
+            MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -67,6 +67,10 @@ class DegreeSequence:
         return self.render()
 
 
+MAX_SEQUENCE_LENGTH = 10 ** 6
+"""Longest sequence `parse_sequence` expands, far above any n the builder
+handles; checked before each `^` term is expanded."""
+
 _TOKEN = re.compile(r"\s*(\d+|\^|,|\(|\))")
 
 
@@ -74,7 +78,8 @@ def parse_sequence(text: str) -> DegreeSequence:
     """Parse "(5,4,3^5)" style text (parentheses optional) into a sequence.
 
     Terms are INT or INT^INT; the result is re-sorted into canonical
-    nonincreasing order, so input order does not matter.
+    nonincreasing order, so input order does not matter.  Text that would
+    expand to more than MAX_SEQUENCE_LENGTH entries is rejected unexpanded.
     """
     tokens: list[tuple[str, int]] = []
     pos = 0
@@ -115,6 +120,9 @@ def parse_sequence(text: str) -> DegreeSequence:
             i += 1
         if value < 1:
             raise SequenceSyntaxError("degrees must be positive", tpos)
+        if len(degrees) + count > MAX_SEQUENCE_LENGTH:
+            raise SequenceSyntaxError(
+                f"sequence longer than {MAX_SEQUENCE_LENGTH} entries", tpos)
         degrees.extend([value] * count)
         if i < len(tokens):
             if tokens[i][0] != ",":

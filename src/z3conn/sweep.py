@@ -1,6 +1,8 @@
 """Exhaustive realization sweep: every graphic sequence with minimum
 degree 3 in a vertex range is classified, covered ones are realized, and
-each realization is validated (simple, degree-exact, oracle-confirmed)."""
+each realization is confirmed by the oracle, independently of its proof.
+`realize` itself raises on a construction that is not simple or has the
+wrong degrees, and the sweep reports that as an error row."""
 from __future__ import annotations
 
 import dataclasses
@@ -60,10 +62,6 @@ def _check_one(seq: DegreeSequence, oracle_cap: int) -> tuple[bool, str]:
         return False, f"error: {exc}"
     if r.status != "realized":
         return False, f"status {r.status}"
-    if not r.graph.is_simple():
-        return False, "not simple"
-    if r.graph.degree_sequence() != seq:
-        return False, "wrong degrees"
     if r.graph.n <= oracle_cap and not is_z3_connected(r.graph, oracle_cap):
         return False, "oracle rejected"
     return True, f"proof={r.proof}"

@@ -1,6 +1,7 @@
 import io
 import json
 import pathlib
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -46,6 +47,14 @@ def test_classify_syntax_error():
     code, _, err = run_cli("classify", "(3^^4)")
     assert code == 2
     assert "error:" in err
+
+
+def test_classify_rejects_huge_exponent_before_expanding():
+    start = time.perf_counter()
+    code, _, err = run_cli("classify", "(3^1000000000)")
+    assert code == 2
+    assert "error:" in err
+    assert time.perf_counter() - start < 1.0
 
 
 def test_realize_edgelist_roundtrips_through_verify(tmp_path):
@@ -106,6 +115,23 @@ def test_verify_negative_graph(tmp_path):
     assert code == 1
     assert "z3_connected=false" in out
     assert "three_flowable=false" in out
+
+
+def test_verify_reports_oracle_memory_error(tmp_path, monkeypatch):
+    import z3conn.verifier
+    from z3conn.graph import complete_graph
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError("cannot allocate the boundary arrays")
+
+    # K4 passes the connectivity and edge-count checks, so the DP is called
+    monkeypatch.setattr(z3conn.verifier, "_reach", no_memory)
+    path = tmp_path / "k4.txt"
+    path.write_text(format_edgelist(complete_graph(4)))
+    code, out, err = run_cli("verify", str(path))
+    assert code == 2
+    assert out == ""
+    assert "error: cannot allocate" in err
 
 
 def test_verify_missing_file():

@@ -1,11 +1,13 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from z3conn.catalog import base_graph, wheel
-from z3conn.graph import build_graph, complete_bipartite, complete_graph, cycle_graph
+from z3conn.graph import (Multigraph, build_graph, complete_bipartite,
+                          complete_graph, cycle_graph)
 from z3conn.verifier import (FlowAssignment, OracleCapError, ZeroSumFunction,
                              boundary, has_modular_3_orientation,
                              is_3_flowable, is_z3_connected,
@@ -91,6 +93,72 @@ def test_solve_boundary_returns_valid_witness():
             assert boundary(G, flow).values == b
             checked += 1
     assert checked > 100
+
+
+def test_every_zero_sum_target_at_the_dropped_axis():
+    # the DP has no axis for vertex n-1; put edges there in both orientations
+    rng = random.Random(131)
+    unreachable = 0
+    for _ in range(80):
+        H = random_multigraph(rng, n_max=5, m_max=7)
+        last = H.n - 1
+        edges = list(H.edges) + [(last, rng.randrange(last)),
+                                 (rng.randrange(last), last)]
+        rng.shuffle(edges)
+        G = Multigraph(H.n, tuple(edges))
+        reach = naive_boundaries(G)
+        for b in itertools.product((0, 1, 2), repeat=G.n):
+            if sum(b) % 3:
+                continue
+            flow = solve_boundary(G, ZeroSumFunction(b))
+            if b in reach:
+                assert flow is not None
+                assert boundary(G, flow).values == b
+            else:
+                assert flow is None
+                unreachable += 1
+    assert unreachable > 100
+
+
+def test_early_stop_and_edge_count_bound_match_naive():
+    rng = random.Random(173)
+    for _ in range(60):
+        n = rng.randint(2, 5)
+        # a tree of parallel pairs is Z3-connected, so the reachable set
+        # fills before the trailing random edges are processed
+        edges = [(rng.randrange(i), i) for i in range(1, n) for _ in (0, 1)]
+        edges += [tuple(rng.sample(range(n), 2))
+                  for _ in range(rng.randint(0, 4))]
+        G = Multigraph(n, tuple(edges))
+        assert is_z3_connected(G) and naive_z3_connected(G)
+        assert is_3_flowable(G) and (0,) * n in naive_boundaries(G)
+    for _ in range(40):
+        n = rng.randint(4, 6)
+        # a cycle plus few chords: 2^m < 3^(n-1) decides without the DP
+        edges = [(i, (i + 1) % n) for i in range(n)]
+        while 2 ** (len(edges) + 1) < 3 ** (n - 1):
+            edges.append(tuple(rng.sample(range(n), 2)))
+        G = Multigraph(n, tuple(edges))
+        assert 2 ** G.m < 3 ** (n - 1)
+        assert not is_z3_connected(G)
+        assert not naive_z3_connected(G)
+        assert is_3_flowable(G) == ((0,) * n in naive_boundaries(G))
+
+
+def test_oracle_memory_at_n14():
+    G = wheel(13)  # n = 14, m = 26; odd wheel, so the DP never fills up
+    state = 3 ** 13  # bytes in one zero-sum layer
+    tracemalloc.start()
+    try:
+        assert not is_z3_connected(G)
+        _, peak_yes_no = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        solve_boundary(G, ZeroSumFunction((0,) * G.n))
+        _, peak_witness = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert state <= peak_yes_no < 3 * state
+    assert peak_witness < (G.m + 2) * state
 
 
 def test_solve_boundary_unreachable():
