@@ -154,7 +154,7 @@ def _build(seq: DegreeSequence, route: Route) -> _Pack:
     peeled: list[list[int]] = []  # per step, the anchors' current degrees
     trace: list[str] = []
     while (pack := _ROUTES[route](seq)) is None:
-        rest = residual(seq).sequence
+        rest = residual(seq)
         k = seq.degrees[-1]
         trace.append(f"{_RESIDUAL_NOTES[route]}: attach degree-{k} vertex "
                      f"to realization of {rest.render()}")

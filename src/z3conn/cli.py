@@ -139,7 +139,8 @@ def _read_graph(path: str):
 def _cmd_verify(args) -> int:
     G = _read_graph(args.path)
     z3 = is_z3_connected(G, cap=args.oracle_cap)
-    flow = is_3_flowable(G, cap=args.oracle_cap)
+    # a Z3-connected graph reaches every zero-sum boundary, 0 included
+    flow = z3 or is_3_flowable(G, cap=args.oracle_cap)
     print(f"z3_connected={'true' if z3 else 'false'}")
     print(f"three_flowable={'true' if flow else 'false'}")
     return EXIT_OK if z3 else EXIT_NEGATIVE

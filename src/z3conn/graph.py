@@ -129,16 +129,8 @@ def lift(G: Multigraph, u: int, v: int, w: int) -> Multigraph:
     if not (G.has_edge(u, v) and G.has_edge(u, w)):
         raise GraphError(f"lift needs edges ({u},{v}) and ({u},{w})")
     edges = list(G.edges)
-
-    def drop_one(a, b):
-        for i, e in enumerate(edges):
-            if {e[0], e[1]} == {a, b}:
-                del edges[i]
-                return
-        raise GraphError("edge vanished during lift")
-
-    drop_one(u, v)
-    drop_one(u, w)
+    for a, b in ((u, v), (u, w)):
+        edges.remove(next(e for e in edges if {e[0], e[1]} == {a, b}))
     edges.append((v, w))
     return Multigraph(G.n, tuple(edges))
 

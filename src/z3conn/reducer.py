@@ -119,13 +119,37 @@ def parse_certificate(text: str) -> Certificate:
 
 
 class _State:
-    """Replay state: classes of original vertices plus surviving edges."""
+    """Replay state: a union-find over the original vertices and one
+    class-adjacency map.
+
+    `adj` has one entry per live class, keyed by its union-find root: a
+    plain dict from each neighbouring root to the number of edges between
+    the two classes.  Edges inside a class vanish when it forms, and a
+    deleted class leaves `adj` (its members still find its root, which
+    `valid_vertex` then rejects).  `merge` folds the class with fewer
+    neighbours into the other (small to large), so it patches only the
+    smaller side of the map.  `label[root]` is the name a class is printed
+    under, kept apart from the root: `merge(u, v)` names the merged class
+    after v's class, whichever root survives.
+    """
 
     def __init__(self, G: Multigraph):
-        self.n = G.n
         self.parent = list(range(G.n))
-        self.alive = [True] * G.n
-        self.edges: list[tuple[int, int]] = list(G.edges)
+        self.label = list(range(G.n))
+        self.adj: dict[int, dict[int, int]] = {v: {} for v in range(G.n)}
+        for u, v in G.edges:
+            self._add(u, v, 1)
+
+    def copy(self) -> "_State":
+        other = _State.__new__(_State)
+        other.parent = list(self.parent)
+        other.label = list(self.label)
+        other.adj = {r: dict(row) for r, row in self.adj.items()}
+        return other
+
+    def __len__(self) -> int:
+        """Number of live classes."""
+        return len(self.adj)
 
     def find(self, v: int) -> int:
         p = self.parent
@@ -134,41 +158,62 @@ class _State:
             v = p[v]
         return v
 
-    def merge(self, u: int, v: int):
-        ru, rv = self.find(u), self.find(v)
-        if ru != rv:
-            self.parent[ru] = rv
+    def _add(self, a: int, b: int, count: int):
+        """Change the number of edges between roots a and b by count."""
+        row_a, row_b = self.adj[a], self.adj[b]
+        total = row_a.get(b, 0) + count
+        if total:
+            row_a[b] = row_b[a] = total
+        else:
+            del row_a[b], row_b[a]
 
     def valid_vertex(self, v) -> bool:
-        return isinstance(v, int) and 0 <= v < self.n and self.alive[self.find(v)]
-
-    def class_edges(self) -> list[tuple[int, int]]:
-        out = []
-        for u, v in self.edges:
-            ru, rv = self.find(u), self.find(v)
-            if ru != rv:
-                out.append((ru, rv))
-        return out
-
-    def classes(self) -> list[int]:
-        return sorted({self.find(v) for v in range(self.n) if self.alive[self.find(v)]})
+        return (isinstance(v, int) and 0 <= v < len(self.parent)
+                and self.find(v) in self.adj)
 
     def multiplicity(self, u: int, v: int) -> int:
+        return self.adj[self.find(u)].get(self.find(v), 0)
+
+    def degree(self, v: int) -> int:
+        return sum(self.adj[self.find(v)].values())
+
+    def lift(self, u: int, v: int, w: int):
+        ru, rv, rw = self.find(u), self.find(v), self.find(w)
+        self._add(ru, rv, -1)
+        self._add(ru, rw, -1)
+        self._add(rv, rw, 1)
+
+    def merge(self, u: int, v: int):
+        """Merge the classes of u and v; the result keeps v's class name."""
         ru, rv = self.find(u), self.find(v)
-        return sum(1 for a, b in self.class_edges() if {a, b} == {ru, rv})
+        if ru == rv:
+            return
+        name = self.label[rv]
+        small, big = sorted((ru, rv), key=lambda r: len(self.adj[r]))
+        for x, count in self.adj.pop(small).items():
+            del self.adj[x][small]
+            if x != big:
+                self._add(big, x, count)
+        self.parent[small] = big
+        self.label[big] = name
 
     def delete_class(self, v: int):
-        rv = self.find(v)
-        self.alive[rv] = False
-        self.edges = [(a, b) for a, b in self.edges
-                      if self.find(a) != rv and self.find(b) != rv]
+        r = self.find(v)
+        for x in self.adj.pop(r):
+            del self.adj[x][r]
 
-    def quotient(self) -> tuple[Multigraph, list[int]]:
-        """Current graph on class representatives, relabeled 0..k-1."""
-        reps = self.classes()
-        index = {r: i for i, r in enumerate(reps)}
-        edges = tuple((index[a], index[b]) for a, b in self.class_edges())
-        return Multigraph(len(reps), edges), reps
+    def quotient(self) -> tuple[Multigraph, list[int], list[dict[int, int]]]:
+        """Current graph on the live classes, numbered 0..k-1 in name order.
+
+        Returns the graph, the class names, and each class's neighbour ->
+        multiplicity map in that numbering.
+        """
+        roots = sorted(self.adj, key=self.label.__getitem__)
+        index = {r: i for i, r in enumerate(roots)}
+        rows = [{index[x]: c for x, c in self.adj[r].items()} for r in roots]
+        edges = tuple((i, j) for i, row in enumerate(rows)
+                      for j, c in row.items() if i < j for _ in range(c))
+        return Multigraph(len(roots), edges), [self.label[r] for r in roots], rows
 
 
 def _apply_step(state: _State, step: Step) -> str | None:
@@ -181,22 +226,12 @@ def _apply_step(state: _State, step: Step) -> str | None:
         ru, rv, rw = state.find(u), state.find(v), state.find(w)
         if rv == rw or ru in (rv, rw):
             return "lift endpoints must be three distinct classes"
-        deg = sum(1 for a, b in state.class_edges() if ru in (a, b))
+        deg = state.degree(u)
         if deg < 4:
             return f"lift center has degree {deg} < 4"
         if state.multiplicity(u, v) < 1 or state.multiplicity(u, w) < 1:
             return "lift edges missing"
-
-        def drop_one(a, b):
-            for i, e in enumerate(state.edges):
-                if {state.find(e[0]), state.find(e[1])} == {a, b}:
-                    del state.edges[i]
-                    return
-            raise AssertionError("edge vanished")
-
-        drop_one(ru, rv)
-        drop_one(ru, rw)
-        state.edges.append((rv, rw))
+        state.lift(u, v, w)
         return None
     if step.kind == "contract-2cycle":
         u, v = step.args
@@ -253,23 +288,22 @@ def _apply_step(state: _State, step: Step) -> str | None:
         (v,) = step.args
         if not state.valid_vertex(v):
             return f"vertex {v} invalid"
-        rv = state.find(v)
-        deg = sum(1 for a, b in state.class_edges() if rv in (a, b))
+        deg = state.degree(v)
         if deg < 2:
             return f"class of {v} has only {deg} outgoing edges"
-        if len(state.classes()) < 2:
+        if len(state) < 2:
             return "cannot absorb the last class"
         state.delete_class(v)
         return None
     if step.kind == "triangular":
-        Q, _ = state.quotient()
+        Q, _, _ = state.quotient()
         if not is_triangularly_connected(Q):
             return "remaining graph not triangularly connected"
         if min(Q.degrees()) < 4:
             return "remaining graph has a vertex of degree < 4"
         return None
     if step.kind == "done":
-        if len(state.classes()) != 1:
+        if len(state) != 1:
             return "more than one class remains"
         return None
     return f"unknown step kind {step.kind!r}"
@@ -300,15 +334,15 @@ def replay(G: Multigraph, cert: Certificate) -> ReplayResult:
     return ReplayResult(True)
 
 
-def _embed_base(base: Multigraph, Q: Multigraph) -> list[int] | None:
-    """Subgraph embedding of a simple base into Q (extra edges allowed).
+def _embed_base(base: Multigraph, qadj: list[dict[int, int]]) -> list[int] | None:
+    """Subgraph embedding of a simple base into the quotient Q (extra edges
+    allowed), given as each Q-vertex's neighbour -> multiplicity map.
 
     Returns base-vertex -> Q-vertex, or None.  Deterministic backtracking:
     base vertices in a connectivity-respecting order, candidates ascending.
     """
-    if base.n > Q.n:
+    if base.n > len(qadj):
         return None
-    qadj = [set(Q.neighbors(v)) for v in range(Q.n)]
     qdeg = [len(a) for a in qadj]
     badj = [set(base.neighbors(v)) for v in range(base.n)]
     order = [max(range(base.n), key=lambda v: len(badj[v]))]
@@ -329,10 +363,10 @@ def _embed_base(base: Multigraph, Q: Multigraph) -> list[int] | None:
         if anchors:
             cands = set(qadj[anchors[0]])
             for a in anchors[1:]:
-                cands &= qadj[a]
+                cands.intersection_update(qadj[a])
             cands -= used
         else:
-            cands = set(range(Q.n)) - used
+            cands = set(range(len(qadj))) - used
         for qv in sorted(cands):
             if qdeg[qv] < len(badj[bv]):
                 continue
@@ -383,18 +417,15 @@ def _search(state: _State, counter: list[int]) -> list[Step] | None:
         if counter[0] <= 0:
             return None
         counter[0] -= 1
-        Q, reps = state.quotient()
+        Q, reps, rows = state.quotient()
         if Q.n == 1:
             steps.append(Step("done"))
             return steps
 
-        pair_counts: dict[tuple[int, int], int] = {}
-        for u, v in Q.edges:
-            key = (min(u, v), max(u, v))
-            pair_counts[key] = pair_counts.get(key, 0) + 1
-        parallel = sorted(k for k, c in pair_counts.items() if c >= 2)
-        if parallel:
-            u, v = parallel[0]
+        parallel = min(((i, j) for i, row in enumerate(rows)
+                        for j, c in row.items() if i < j and c >= 2), default=None)
+        if parallel is not None:
+            u, v = parallel
             step = two_cycle_step(reps[u], reps[v])
             _must_apply(state, step)
             steps.append(step)
@@ -410,7 +441,7 @@ def _search(state: _State, counter: list[int]) -> list[Step] | None:
 
         placed = None
         for name in CERTIFIABLE_BASES:
-            mapping = _embed_base(base_graph(name), Q)
+            mapping = _embed_base(base_graph(name), rows)
             if mapping is not None:
                 placed = base_step(name, tuple(reps[x] for x in mapping))
                 break
@@ -423,15 +454,13 @@ def _search(state: _State, counter: list[int]) -> list[Step] | None:
             steps.append(Step("triangular"))
             return steps
 
-        degs = Q.degrees()
-        for v in range(Q.n):
-            if degs[v] < 2 or Q.n == 1:
+        for v, row in enumerate(rows):
+            if sum(row.values()) < 2:
                 continue
-            branch = _clone(state)
+            branch = state.copy()
             branch.delete_class(reps[v])
             rest = _search(branch, counter)
             if rest is not None:
-                _copy_into(state, branch)
                 return steps + [absorb_step(reps[v])] + rest
         return None
 
@@ -440,18 +469,3 @@ def _must_apply(state: _State, step: Step):
     err = _apply_step(state, step)
     if err:
         raise AssertionError(f"internal step rejected: {step.render()}: {err}")
-
-
-def _clone(state: _State) -> _State:
-    clone = _State.__new__(_State)
-    clone.n = state.n
-    clone.parent = list(state.parent)
-    clone.alive = list(state.alive)
-    clone.edges = list(state.edges)
-    return clone
-
-
-def _copy_into(dst: _State, src: _State):
-    dst.parent = src.parent
-    dst.alive = src.alive
-    dst.edges = src.edges

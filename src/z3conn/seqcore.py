@@ -158,25 +158,10 @@ def is_graphic(seq: DegreeSequence | Sequence[int]) -> bool:
     return True
 
 
-@dataclasses.dataclass(frozen=True)
-class ResidualResult:
-    """Residual sequence together with position bookkeeping.
-
-    new_to_old maps each position of the residual to the position it came
-    from in the original; decremented_new lists the residual positions whose
-    entries were decremented.
-    """
-
-    sequence: DegreeSequence
-    new_to_old: tuple[int, ...]
-    decremented_new: tuple[int, ...]
-
-
-def residual(seq: DegreeSequence) -> ResidualResult:
+def residual(seq: DegreeSequence) -> DegreeSequence:
     """Delete the last (smallest) entry dn and decrement the dn largest.
 
-    Ties are broken by decrementing the earliest positions.  Requires n >= 2
-    and dn <= n - 1 so the reduction is defined.
+    Requires n >= 2 and dn <= n - 1 so the reduction is defined.
     """
     n = seq.n
     k = seq.degrees[-1]
@@ -184,17 +169,10 @@ def residual(seq: DegreeSequence) -> ResidualResult:
         raise SequenceError("residual needs at least two entries")
     if k > n - 1:
         raise SequenceError(f"smallest degree {k} exceeds n-1={n - 1}")
-    items = []
-    for old in range(n - 1):
-        value = seq.degrees[old] - (1 if old < k else 0)
-        items.append((value, old))
-    items.sort(key=lambda t: (-t[0], t[1]))
-    values = tuple(v for v, _ in items)
-    if values and values[-1] == 0:
+    values = [d - 1 for d in seq.degrees[:k]] + list(seq.degrees[k:-1])
+    if 0 in values:
         raise SequenceError("residual produced a zero degree")
-    new_to_old = tuple(old for _, old in items)
-    decremented_new = tuple(i for i, (_, old) in enumerate(items) if old < k)
-    return ResidualResult(DegreeSequence(values), new_to_old, decremented_new)
+    return DegreeSequence.of(values)
 
 
 class Kind(str, enum.Enum):

@@ -134,6 +134,30 @@ def test_verify_reports_oracle_memory_error(tmp_path, monkeypatch):
     assert "error: cannot allocate" in err
 
 
+@pytest.mark.parametrize("z3", [True, False])
+def test_verify_runs_oracle_once_on_yes_graph(tmp_path, monkeypatch, z3):
+    import z3conn.verifier
+    from z3conn.catalog import wheel
+    from z3conn.graph import complete_graph
+
+    calls = []
+    reach = z3conn.verifier._reach
+
+    def counting_reach(G):
+        calls.append(G)
+        return reach(G)
+
+    # W4 is Z3-connected, so 3-flowable; K4 is neither
+    monkeypatch.setattr(z3conn.verifier, "_reach", counting_reach)
+    path = tmp_path / "g.txt"
+    path.write_text(format_edgelist(wheel(4) if z3 else complete_graph(4)))
+    code, out, _ = run_cli("verify", str(path))
+    flag = "true" if z3 else "false"
+    assert code == (0 if z3 else 1)
+    assert out == f"z3_connected={flag}\nthree_flowable={flag}\n"
+    assert len(calls) == (1 if z3 else 2)
+
+
 def test_verify_missing_file():
     code, _, err = run_cli("verify", "/nonexistent/file.txt")
     assert code == 2

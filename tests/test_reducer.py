@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,9 +6,10 @@ import pytest
 from z3conn.catalog import CERTIFIABLE_BASES, base_graph, wheel
 from z3conn.graph import (build_graph, complete_bipartite, complete_graph,
                           cycle_graph)
-from z3conn.reducer import (Certificate, CertificateError, Step, absorb_step,
-                            base_step, certify, lift_step, parse_certificate,
-                            replay, two_cycle_step, wheel_step)
+from z3conn.reducer import (Certificate, CertificateError, Step, _apply_step,
+                            _State, absorb_step, base_step, certify, lift_step,
+                            parse_certificate, replay, two_cycle_step,
+                            wheel_step)
 from z3conn.verifier import is_z3_connected
 
 from helpers import naive_z3_connected, random_multigraph
@@ -139,3 +141,101 @@ def test_certify_sound_on_random_graphs():
 def test_certifiable_bases_are_z3_connected():
     for name in CERTIFIABLE_BASES:
         assert is_z3_connected(base_graph(name)), name
+
+
+class _EdgeListModel:
+    """Reference for the replay state: a class name per original vertex
+    (None once deleted) and a flat edge list rescanned on every query."""
+
+    def __init__(self, G):
+        self.name = list(range(G.n))
+        self.edges = list(G.edges)
+
+    def names(self):
+        return sorted({c for c in self.name if c is not None})
+
+    def pairs(self):
+        out = {}
+        for a, b in self.edges:
+            x, y = self.name[a], self.name[b]
+            if x != y:
+                key = (min(x, y), max(x, y))
+                out[key] = out.get(key, 0) + 1
+        return out
+
+    def degree(self, c):
+        return sum(k for key, k in self.pairs().items() if c in key)
+
+    def contract(self, u, v):
+        old, new = self.name[u], self.name[v]
+        self.name = [new if c == old else c for c in self.name]
+
+    def lift(self, u, v, w):
+        for a, b in ((u, v), (u, w)):
+            ends = {self.name[a], self.name[b]}
+            self.edges.remove(next(e for e in self.edges
+                                   if {self.name[e[0]], self.name[e[1]]} == ends))
+        self.edges.append((v, w))
+
+    def absorb(self, v):
+        gone = self.name[v]
+        self.edges = [e for e in self.edges
+                      if gone not in (self.name[e[0]], self.name[e[1]])]
+        self.name = [None if c == gone else c for c in self.name]
+
+
+def _snapshot(state):
+    """(class names, name-pair -> multiplicity, name -> degree) of a state."""
+    Q, names, rows = state.quotient()
+    pairs = {(names[i], names[j]): k for i, row in enumerate(rows)
+             for j, k in row.items() if i < j}
+    from_edges = {}
+    for a, b in Q.edges:
+        key = (min(names[a], names[b]), max(names[a], names[b]))
+        from_edges[key] = from_edges.get(key, 0) + 1
+    assert from_edges == pairs
+    return names, pairs, {c: state.degree(c) for c in names}
+
+
+def test_state_matches_edge_list_model():
+    rng = random.Random(4242)
+    merges = {"first_wider": 0, "second_wider": 0}
+    for _ in range(300):
+        G = random_multigraph(rng, n_max=8, m_max=24)
+        state, model = _State(G), _EdgeListModel(G)
+        for _ in range(12):
+            names, pairs = model.names(), model.pairs()
+            deg = {c: model.degree(c) for c in names}
+            nbrs = {c: [x for x in names if (min(c, x), max(c, x)) in pairs]
+                    for c in names}
+            moves = [("contract-2cycle", (a, b)) for key, k in pairs.items()
+                     if k >= 2 for a, b in (key, key[::-1])]
+            moves += [("lift", (u, v, w)) for u in names if deg[u] >= 4
+                      for v, w in itertools.permutations(nbrs[u], 2)]
+            if len(names) >= 2:
+                moves += [("absorb", (c,)) for c in names if deg[c] >= 2]
+            if not moves:
+                break
+            kind, classes = rng.choice(moves)
+            # any member of a class may name it
+            args = tuple(rng.choice([v for v, c in enumerate(model.name) if c == x])
+                         for x in classes)
+            if kind == "contract-2cycle":
+                a, b = classes
+                if len(nbrs[a]) > len(nbrs[b]):
+                    merges["first_wider"] += 1
+                elif len(nbrs[a]) < len(nbrs[b]):
+                    merges["second_wider"] += 1
+            before = state.copy()
+            expected_before = _snapshot(state)
+            assert _apply_step(state, Step(kind, args)) is None
+            {"contract-2cycle": model.contract, "lift": model.lift,
+             "absorb": model.absorb}[kind](*args)
+            assert _snapshot(before) == expected_before
+            names, pairs, degrees = _snapshot(state)
+            assert names == model.names()
+            assert pairs == model.pairs()
+            assert degrees == {c: model.degree(c) for c in names}
+            for a, b in itertools.combinations(names, 2):
+                assert state.multiplicity(a, b) == pairs.get((a, b), 0)
+    assert merges["first_wider"] > 20 and merges["second_wider"] > 20, merges
