@@ -151,6 +151,8 @@ def _cmd_certify(args) -> int:
     found = reducer.certify(G)
     if not found.proved:
         print("unknown")
+        print(f"certify stopped: {found.reason} after {found.nodes} nodes",
+              file=sys.stderr)
         return EXIT_NEGATIVE
     sys.stdout.write(found.certificate.render())
     check = reducer.replay(G, found.certificate)

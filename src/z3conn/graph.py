@@ -66,6 +66,14 @@ class Multigraph:
                 out.add(a)
         return sorted(out)
 
+    def neighbor_sets(self) -> list[set[int]]:
+        """Each vertex's set of distinct neighbors."""
+        out = [set() for _ in range(self.n)]
+        for u, v in self.edges:
+            out[u].add(v)
+            out[v].add(u)
+        return out
+
     def is_simple(self) -> bool:
         seen = set()
         for u, v in self.edges:
@@ -143,13 +151,18 @@ def find_even_wheel(G: Multigraph, max_rim: int = 8) -> tuple[int, tuple[int, ..
     is a cycle through distinct neighbors of the hub; spoke and rim edges
     must all be present (the wheel need not be induced).
     """
-    for hub in range(G.n):
-        nb = G.neighbors(hub)
+    return find_even_wheel_in(G.neighbor_sets(), max_rim)
+
+
+def find_even_wheel_in(nbrs: list[set[int]], max_rim: int = 8) -> tuple[int, tuple[int, ...]] | None:
+    """`find_even_wheel` on a graph given as each vertex's set of distinct
+    neighbors."""
+    for hub, nb in enumerate(nbrs):
         if len(nb) < 4:
             continue
-        simple = {v: set(G.neighbors(v)) for v in nb}
+        ordered = sorted(nb)
         for length in range(4, min(max_rim, len(nb)) + 1, 2):
-            rim = _find_cycle(nb, simple, length)
+            rim = _find_cycle(ordered, nbrs, length)
             if rim is not None:
                 return hub, rim
     return None

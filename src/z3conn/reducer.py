@@ -22,13 +22,20 @@ Step kinds and their preconditions:
   triangular            terminal: remaining graph triangularly connected
                         with minimum degree >= 4
   done                  terminal: remaining graph is a single vertex
+
+`replay` checks a certificate; `certify` searches for one.  Both run on the
+same `_State`, a class-adjacency map: the search reads it directly at each
+node and applies the steps it finds through the same checks as replay.
+`certify` also reports the budget it spent (`nodes`) and why it stopped
+(`reason`).
 """
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 from .catalog import CERTIFIABLE_BASES, base_graph
-from .graph import Multigraph, find_even_wheel, is_triangularly_connected
+from .graph import Multigraph, find_even_wheel_in, is_triangularly_connected
 
 
 class CertificateError(ValueError):
@@ -202,18 +209,20 @@ class _State:
         for x in self.adj.pop(r):
             del self.adj[x][r]
 
-    def quotient(self) -> tuple[Multigraph, list[int], list[dict[int, int]]]:
-        """Current graph on the live classes, numbered 0..k-1 in name order.
-
-        Returns the graph, the class names, and each class's neighbour ->
-        multiplicity map in that numbering.
-        """
+    def rows(self) -> tuple[list[int], list[dict[int, int]]]:
+        """The live classes numbered 0..k-1 in name order: their names, and
+        each class's neighbour -> multiplicity map in that numbering."""
         roots = sorted(self.adj, key=self.label.__getitem__)
         index = {r: i for i, r in enumerate(roots)}
-        rows = [{index[x]: c for x, c in self.adj[r].items()} for r in roots]
+        return ([self.label[r] for r in roots],
+                [{index[x]: c for x, c in self.adj[r].items()} for r in roots])
+
+    def quotient(self) -> tuple[Multigraph, list[int], list[dict[int, int]]]:
+        """Current graph on the live classes, with `rows`' names and rows."""
+        names, rows = self.rows()
         edges = tuple((i, j) for i, row in enumerate(rows)
                       for j, c in row.items() if i < j for _ in range(c))
-        return Multigraph(len(roots), edges), [self.label[r] for r in roots], rows
+        return Multigraph(len(rows), edges), names, rows
 
 
 def _apply_step(state: _State, step: Step) -> str | None:
@@ -334,17 +343,12 @@ def replay(G: Multigraph, cert: Certificate) -> ReplayResult:
     return ReplayResult(True)
 
 
-def _embed_base(base: Multigraph, qadj: list[dict[int, int]]) -> list[int] | None:
-    """Subgraph embedding of a simple base into the quotient Q (extra edges
-    allowed), given as each Q-vertex's neighbour -> multiplicity map.
-
-    Returns base-vertex -> Q-vertex, or None.  Deterministic backtracking:
-    base vertices in a connectivity-respecting order, candidates ascending.
-    """
-    if base.n > len(qadj):
-        return None
-    qdeg = [len(a) for a in qadj]
-    badj = [set(base.neighbors(v)) for v in range(base.n)]
+@functools.cache
+def _base_plan(name: str) -> tuple[list[set[int]], list[int]]:
+    """A base's neighbour sets and its embedding order: the widest vertex
+    first, then always the vertex with most neighbours already placed."""
+    base = base_graph(name)
+    badj = base.neighbor_sets()
     order = [max(range(base.n), key=lambda v: len(badj[v]))]
     placed = set(order)
     while len(order) < base.n:
@@ -352,6 +356,31 @@ def _embed_base(base: Multigraph, qadj: list[dict[int, int]]) -> list[int] | Non
                   key=lambda v: (len(badj[v] & placed), len(badj[v]), -v))
         order.append(nxt)
         placed.add(nxt)
+    return badj, order
+
+
+@functools.cache
+def _bases_that_fit(k: int, widest: int) -> tuple[str, ...]:
+    """The certifiable bases, in order, with at most k vertices and maximum
+    degree at most `widest`: the only ones that can embed in a quotient
+    with k classes, none of which has more than `widest` neighbours."""
+    fit = []
+    for name in CERTIFIABLE_BASES:
+        badj, order = _base_plan(name)
+        if len(order) <= k and len(badj[order[0]]) <= widest:
+            fit.append(name)
+    return tuple(fit)
+
+
+def _embed_base(name: str, qadj: list[set[int]]) -> list[int] | None:
+    """Subgraph embedding of the simple base `name` into the quotient Q
+    (extra edges allowed), given as each Q-vertex's set of neighbours.
+
+    Returns base-vertex -> Q-vertex, or None.  Deterministic backtracking:
+    base vertices in `_base_plan` order, candidates ascending.  The search
+    calls it only for `_bases_that_fit`.
+    """
+    badj, order = _base_plan(name)
     assign: dict[int, int] = {}
     used: set[int] = set()
 
@@ -359,16 +388,13 @@ def _embed_base(base: Multigraph, qadj: list[dict[int, int]]) -> list[int] | Non
         if i == len(order):
             return True
         bv = order[i]
-        anchors = [assign[x] for x in badj[bv] if x in assign]
+        anchors = [qadj[assign[x]] for x in badj[bv] if x in assign]
         if anchors:
-            cands = set(qadj[anchors[0]])
-            for a in anchors[1:]:
-                cands.intersection_update(qadj[a])
-            cands -= used
+            cands = anchors[0].intersection(*anchors[1:]) - used
         else:
             cands = set(range(len(qadj))) - used
         for qv in sorted(cands):
-            if qdeg[qv] < len(badj[bv]):
+            if len(qadj[qv]) < len(badj[bv]):
                 continue
             assign[bv] = qv
             used.add(qv)
@@ -379,14 +405,19 @@ def _embed_base(base: Multigraph, qadj: list[dict[int, int]]) -> list[int] | Non
         return False
 
     if backtrack(0):
-        return [assign[v] for v in range(base.n)]
+        return [assign[v] for v in range(len(order))]
     return None
 
 
 @dataclasses.dataclass(frozen=True)
 class CertifyResult:
+    """`nodes` is the budget spent.  `reason` is "proved", "budget" (the
+    search was cut off), "no-rule" (every branch ended with no rule that
+    applies) or "disconnected" (no search was run)."""
     proved: bool
-    certificate: Certificate | None = None
+    certificate: Certificate | None
+    nodes: int
+    reason: str
 
 
 def certify(G: Multigraph, budget: int = 20000) -> CertifyResult:
@@ -396,73 +427,93 @@ def certify(G: Multigraph, budget: int = 20000) -> CertifyResult:
     Rule order per reduction state: contract a 2-cycle, contract an even
     wheel, contract an embedded catalog base, triangular-rule terminal,
     then absorption of a vertex tried with backtracking under a budget.
+    The budget counts search nodes: every reduction state the search looks
+    at, one per rule applied and one per absorb branch entered.
     """
     if not G.is_connected():
-        return CertifyResult(False)
-    state = _State(G)
+        return CertifyResult(False, None, 0, "disconnected")
     counter = [budget]
-    steps = _search(state, counter)
+    steps, reason = _search(_State(G), counter)
+    nodes = budget - counter[0]
     if steps is None:
-        return CertifyResult(False)
+        return CertifyResult(False, None, nodes, reason)
     cert = Certificate(tuple(steps))
     check = replay(G, cert)
     if not check.ok:
         raise AssertionError(f"certify produced invalid certificate: {check.message}")
-    return CertifyResult(True, cert)
+    return CertifyResult(True, cert, nodes, reason)
 
 
-def _search(state: _State, counter: list[int]) -> list[Step] | None:
+def _search(state: _State, counter: list[int]) -> tuple[list[Step] | None, str]:
+    """Depth-first search for reduction steps from `state`, spending one
+    unit of `counter` per node; returns (steps, reason) as in CertifyResult.
+
+    Each node reads the state's class-adjacency map as rows in name order
+    (`_State.rows`), without building a graph, and applies the first rule
+    that fits.  When none does, it branches over the classes it could
+    absorb, in name order.  Open branch points sit on an explicit stack,
+    not the call stack, so the absorb depth is not bounded by the
+    recursion limit.
+    """
+    # open branch points: (steps from the previous one, state, classes
+    # left to absorb, last one on top)
+    frames: list[tuple[list[Step], _State, list[int]]] = []
     steps: list[Step] = []
     while True:
         if counter[0] <= 0:
-            return None
+            return None, "budget"
         counter[0] -= 1
-        Q, reps, rows = state.quotient()
-        if Q.n == 1:
+        names, rows = state.rows()
+        if len(rows) == 1:
             steps.append(Step("done"))
-            return steps
+            break
 
         parallel = min(((i, j) for i, row in enumerate(rows)
                         for j, c in row.items() if i < j and c >= 2), default=None)
         if parallel is not None:
             u, v = parallel
-            step = two_cycle_step(reps[u], reps[v])
+            step = two_cycle_step(names[u], names[v])
             _must_apply(state, step)
             steps.append(step)
             continue
 
-        found = find_even_wheel(Q)
+        nbrs = [set(row) for row in rows]
+        found = find_even_wheel_in(nbrs)
         if found is not None:
             hub, rim = found
-            step = wheel_step(reps[hub], tuple(reps[x] for x in rim))
+            step = wheel_step(names[hub], tuple(names[x] for x in rim))
             _must_apply(state, step)
             steps.append(step)
             continue
 
         placed = None
-        for name in CERTIFIABLE_BASES:
-            mapping = _embed_base(base_graph(name), rows)
+        for name in _bases_that_fit(len(nbrs), max(map(len, nbrs))):
+            mapping = _embed_base(name, nbrs)
             if mapping is not None:
-                placed = base_step(name, tuple(reps[x] for x in mapping))
+                placed = base_step(name, tuple(names[x] for x in mapping))
                 break
         if placed is not None:
             _must_apply(state, placed)
             steps.append(placed)
             continue
 
-        if is_triangularly_connected(Q) and min(Q.degrees()) >= 4:
+        degrees = [sum(row.values()) for row in rows]
+        if min(degrees) >= 4 and is_triangularly_connected(state.quotient()[0]):
             steps.append(Step("triangular"))
-            return steps
+            break
 
-        for v, row in enumerate(rows):
-            if sum(row.values()) < 2:
-                continue
-            branch = state.copy()
-            branch.delete_class(reps[v])
-            rest = _search(branch, counter)
-            if rest is not None:
-                return steps + [absorb_step(reps[v])] + rest
-        return None
+        frames.append((steps, state,
+                       [names[v] for v, d in enumerate(degrees) if d >= 2][::-1]))
+        while frames and not frames[-1][2]:
+            frames.pop()
+        if not frames:
+            return None, "no-rule"
+        _, at, left = frames[-1]
+        v = left.pop()
+        state = at.copy()
+        state.delete_class(v)
+        steps = [absorb_step(v)]
+    return [s for prefix, _, _ in frames for s in prefix] + steps, "proved"
 
 
 def _must_apply(state: _State, step: Step):

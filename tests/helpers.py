@@ -78,3 +78,14 @@ def random_simple_graph(rng: random.Random, n: int, p: float) -> Multigraph:
     edges = [(u, v) for u, v in itertools.combinations(range(n), 2)
              if rng.random() < p]
     return Multigraph(n, tuple(edges))
+
+
+def random_cubic_graph(rng: random.Random, n: int) -> Multigraph:
+    """Uniform random simple 3-regular graph on n (even) vertices, by
+    pairing 3n half-edges and retrying until the pairing is simple."""
+    while True:
+        ends = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(ends)
+        edges = [(min(a, b), max(a, b)) for a, b in zip(ends[::2], ends[1::2])]
+        if all(a != b for a, b in edges) and len(set(edges)) == len(edges):
+            return Multigraph(n, tuple(edges))

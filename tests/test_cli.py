@@ -179,6 +179,15 @@ def test_certify_command(tmp_path):
     assert out.strip() == "unknown"
 
 
+def test_certify_says_why_it_stopped_on_stderr(tmp_path):
+    from z3conn.graph import complete_bipartite
+    path = tmp_path / "k33.txt"
+    path.write_text(format_edgelist(complete_bipartite(3, 3)))
+    code, out, err = run_cli("certify", str(path))
+    assert (code, out) == (1, "unknown\n")
+    assert err == "certify stopped: no-rule after 193 nodes\n"
+
+
 def test_enumerate_command():
     code, out, _ = run_cli("enumerate", "(3^4)")
     assert code == 0

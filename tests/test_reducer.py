@@ -1,7 +1,10 @@
+import inspect
 import itertools
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from z3conn.catalog import CERTIFIABLE_BASES, base_graph, wheel
 from z3conn.graph import (build_graph, complete_bipartite, complete_graph,
@@ -12,7 +15,7 @@ from z3conn.reducer import (Certificate, CertificateError, Step, _apply_step,
                             wheel_step)
 from z3conn.verifier import is_z3_connected
 
-from helpers import naive_z3_connected, random_multigraph
+from helpers import naive_z3_connected, random_cubic_graph, random_multigraph
 
 
 def test_render_parse_roundtrip():
@@ -136,6 +139,49 @@ def test_certify_sound_on_random_graphs():
             assert naive_z3_connected(G)
             proved += 1
     assert proved > 50
+
+
+@pytest.mark.parametrize("graph,budget,reason,nodes", [
+    (wheel(4), 20000, "proved", 2),
+    (complete_graph(4), 20000, "no-rule", 17),
+    (build_graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]), 20000,
+     "disconnected", 0),
+    (complete_bipartite(3, 3), 5, "budget", 5),
+])
+def test_certify_says_why_it_stopped(graph, budget, reason, nodes):
+    res = certify(graph, budget=budget)
+    assert (res.proved, res.reason, res.nodes) == (reason == "proved", reason, nodes)
+    assert (res.certificate is not None) == res.proved
+
+
+def test_certify_absorb_depth_is_not_bounded_by_recursion_limit():
+    # the absorb backtracking on a random cubic graph with n = 300 goes
+    # more than 60 branch points deep within 200 nodes
+    G = random_cubic_graph(random.Random(300), 300)
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+    try:
+        res = certify(G, budget=200)
+    finally:
+        sys.setrecursionlimit(old)
+    assert (res.proved, res.reason, res.nodes) == (False, "budget", 200)
+
+
+@st.composite
+def simple_graphs(draw):
+    n = draw(st.integers(2, 10))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return build_graph(n, [e for e, k in zip(pairs, keep) if k])
+
+
+@settings(max_examples=150, deadline=None)
+@given(simple_graphs())
+def test_certify_proofs_agree_with_oracle_on_simple_graphs(G):
+    res = certify(G, budget=2000)
+    if res.proved:
+        assert replay(G, res.certificate).ok
+        assert is_z3_connected(G)
 
 
 def test_certifiable_bases_are_z3_connected():
