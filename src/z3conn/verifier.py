@@ -8,17 +8,17 @@ flow values {1,2} on a fixed reference orientation covers all orientations.
 
 The oracle runs a reachable-boundary dynamic program: process edges one at
 a time and track which boundaries are hit.  Every boundary sums to 0 mod 3,
-so the last vertex's value is fixed by the others and the state is a flat
-boolean array over the 3^(n-1) zero-sum boundaries.  Each edge is one pass
-of nine slice ORs (three at the last vertex) from one buffer into another.
-The graph is Z3-connected iff every zero-sum boundary is reachable.
-Yes/no answers keep only the two buffers and stop early once the set is
-full; only `solve_boundary` keeps one layer per edge, for its witness.
-State space is exponential, so calls are capped (default n <= 14).
+so the last vertex's value is fixed by the others and the state set is a
+Python int bitset: bit i flags the zero-sum boundary with flat index i
+(vertex p < n-1 has stride 3^(n-2-p)).  Each edge is a few shift-and-mask
+operations against digit masks cached once per n; no numpy arrays.  Yes/no
+answers stop early once the set is full; only `solve_boundary` keeps one
+int per edge, for its witness.  Calls are capped (default n <= 14).
 """
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -71,71 +71,78 @@ def _check_cap(G: Multigraph, cap: int):
         raise OracleCapError(f"oracle limited to n<={cap}, got n={G.n}")
 
 
-def _step(cur: np.ndarray, nxt: np.ndarray, n: int, u: int, v: int):
-    """Write into nxt the zero-sum states reachable from cur through one
-    more edge uv carrying value 1 or 2.
+@functools.cache
+def _masks(n: int) -> tuple[tuple[int, int], ...]:
+    """Per vertex p < n-1: its stride s = 3^(n-2-p) and m0, the flags of
+    the states whose digit p is 0 (s ones with period 3s, grown by tripling;
+    the digit-2 flags are m0 << 2s and are not stored)."""
+    size = 3 ** (n - 1)
+    masks = []
+    for p in range(n - 1):
+        s = 3 ** (n - 2 - p)
+        m0, L = (1 << s) - 1, 3 * s
+        while L < size:
+            m0 |= (m0 << L) | (m0 << 2 * L)
+            L *= 3
+        masks.append((s, m0))
+    return tuple(masks)
 
-    Value a on uv and value -a give the same two moves, so the orientation
-    does not matter: target values (i, j) at the two endpoints come from
-    (i+1, j+2) and (i+2, j+1).  Vertex n-1 has no axis (its value is fixed
-    by the zero sum), so an edge there moves only the other endpoint's
-    axis, to each of its two other values.
-    """
+
+def _up(S: int, s: int, m0: int) -> int:
+    hi = S & (m0 << 2 * s)  # +1 mod 3 at the digit with stride s; 2 wraps
+    return ((S ^ hi) << s) | (hi >> 2 * s)
+
+
+def _down(S: int, s: int, m0: int) -> int:
+    lo = S & m0  # -1 mod 3 at the digit with stride s; 0 wraps
+    return ((S ^ lo) >> s) | (lo << 2 * s)
+
+
+def _step(S: int, masks, u: int, v: int) -> int:
+    """The zero-sum states reachable from S through one more edge uv.
+
+    Values 1 and 2 give +1 at one endpoint and -1 at the other, either way
+    round, so the orientation does not matter.  Vertex n-1 has no digit:
+    an edge there moves only the other endpoint's digit, by +1 or -1."""
     p, q = sorted((u, v))
-    if q == n - 1:
-        c = cur.reshape(3 ** p, 3, -1)
-        x = nxt.reshape(3 ** p, 3, -1)
-        for i in range(3):
-            np.bitwise_or(c[:, (i + 1) % 3], c[:, (i + 2) % 3], out=x[:, i])
-        return
-    shape = (3 ** p, 3, 3 ** (q - p - 1), 3, -1)
-    c = cur.reshape(shape)
-    x = nxt.reshape(shape)
-    for i in range(3):
-        for j in range(3):
-            np.bitwise_or(c[:, (i + 1) % 3, :, (j + 2) % 3],
-                          c[:, (i + 2) % 3, :, (j + 1) % 3],
-                          out=x[:, i, :, j])
+    if q == len(masks):
+        return _up(S, *masks[p]) | _down(S, *masks[p])
+    return (_up(_down(S, *masks[q]), *masks[p])
+            | _down(_up(S, *masks[q]), *masks[p]))
 
 
-def _start(n: int) -> np.ndarray:
-    """The zero-edge layer: only the all-zero boundary (flat index 0)."""
-    S = np.zeros(3 ** (n - 1), dtype=bool)
-    S[0] = True
-    return S
+def _reach(G: Multigraph) -> int:
+    """Reachable zero-sum boundaries of G as an int of 3^(n-1) flags.
 
-
-def _reach(G: Multigraph) -> np.ndarray:
-    """Reachable zero-sum boundaries of G as a flat array of 3^(n-1) flags.
-
-    Two buffers take turns.  The loop returns as soon as every state is
-    reachable, since adding edges keeps a full set full.  After k edges at
-    most 2^k states are reachable, so fullness is tested only from the
-    first k with 2^k >= 3^(n-1).
-    """
-    cur = _start(G.n)
-    nxt = np.empty_like(cur)
-    first_check = (cur.size - 1).bit_length()
+    Stops once the set is full, which more edges keep full; k edges reach
+    at most 2^k states, so fullness is tested only once 2^k >= 3^(n-1)."""
+    masks = _masks(G.n)
+    size = 3 ** (G.n - 1)
+    full = (1 << size) - 1
+    first_check = (size - 1).bit_length()
+    S = 1  # no edges yet: only the all-zero boundary (flat index 0)
     for k, (u, v) in enumerate(G.edges, 1):
-        _step(cur, nxt, G.n, u, v)
-        cur, nxt = nxt, cur
-        if k >= first_check and cur.all():
+        S = _step(S, masks, u, v)
+        if k >= first_check and S == full:
             break
-    return cur
+    return S
 
 
 def reachable_boundaries(G: Multigraph, cap: int = DEFAULT_CAP) -> np.ndarray:
     """Boolean array over Z3^n marking every achievable flow boundary."""
     _check_cap(G, cap)
-    reach = _reach(G)
+    size = 3 ** (G.n - 1)
+    flags = np.frombuffer(_reach(G).to_bytes(-(-size // 8), "little"),
+                          dtype=np.uint8)
+    reach = np.unpackbits(flags, count=size, bitorder="little").astype(bool)
     # the last value of zero-sum state (b_0..b_(n-2)) is -(b_0+...+b_(n-2))
     last = np.zeros(1, dtype=np.int8)
     for _ in range(G.n - 1):
         last = ((last[:, None] - np.arange(3, dtype=np.int8)) % 3).ravel()
-    full = np.zeros((reach.size, 3), dtype=bool)
+    grid = np.zeros((size, 3), dtype=bool)
     for r in range(3):
-        full[:, r] = reach & (last == r)
-    return full.reshape((3,) * G.n)
+        grid[:, r] = reach & (last == r)
+    return grid.reshape((3,) * G.n)
 
 
 def is_z3_connected(G: Multigraph, cap: int = DEFAULT_CAP) -> bool:
@@ -146,11 +153,9 @@ def is_z3_connected(G: Multigraph, cap: int = DEFAULT_CAP) -> bool:
     at most 2^m boundaries.
     """
     _check_cap(G, cap)
-    if G.n == 1:
-        return True
     if not G.is_connected() or 2 ** G.m < 3 ** (G.n - 1):
         return False
-    return bool(_reach(G).all())
+    return _reach(G) == (1 << 3 ** (G.n - 1)) - 1
 
 
 def solve_boundary(G: Multigraph, b: ZeroSumFunction,
@@ -158,40 +163,37 @@ def solve_boundary(G: Multigraph, b: ZeroSumFunction,
     """A flow with the given boundary, or None when unreachable.
 
     Keeps one zero-sum layer per edge, then walks the dynamic program
-    backwards from the target through them to recover one witness
-    assignment.
+    backwards from the target through them to recover one witness.
     """
     _check_cap(G, cap)
     if len(b.values) != G.n:
         raise ValueError("boundary length must match vertex count")
-    n = G.n
-    layers = [_start(n)]
+    masks = _masks(G.n)
+    layers = [1]
     for u, v in G.edges:
-        layers.append(np.empty_like(layers[-1]))
-        _step(layers[-2], layers[-1], n, u, v)
-    # flat index of a boundary; vertex n-1 has no axis
-    stride = [3 ** (n - 2 - i) for i in range(n - 1)] + [0]
+        layers.append(_step(layers[-1], masks, u, v))
+    # flat index of a boundary; vertex n-1 has no digit
+    stride = [s for s, _ in masks] + [0]
 
-    def index(state):
-        return sum(s * t for s, t in zip(state, stride))
+    def reached(layer, state):
+        return layer >> sum(s * t for s, t in zip(state, stride)) & 1
 
     state = list(b.values)
-    if not layers[-1][index(state)]:
+    if not reached(layers[-1], state):
         return None
-    values = []
-    for i in range(G.m - 1, -1, -1):
+    values = [0] * G.m
+    for i in reversed(range(G.m)):
         u, v = G.edges[i]
         for a in (1, 2):
             cand = list(state)
             cand[u] = (cand[u] - a) % 3
             cand[v] = (cand[v] + a) % 3
-            if layers[i][index(cand)]:
+            if reached(layers[i], cand):
                 break
         else:
             raise RuntimeError("witness reconstruction failed")
-        values.append(a)
+        values[i] = a
         state = cand
-    values.reverse()
     return FlowAssignment(tuple(values))
 
 
@@ -205,12 +207,10 @@ def has_modular_3_orientation(G: Multigraph,
     like value 1 on the reversed edge.
     """
     flow = solve_boundary(G, ZeroSumFunction((0,) * G.n), cap)
-    if flow is None:
-        return None
-    return [f == 2 for f in flow.values]
+    return None if flow is None else [f == 2 for f in flow.values]
 
 
 def is_3_flowable(G: Multigraph, cap: int = DEFAULT_CAP) -> bool:
     """Whether G admits a nowhere-zero 3-flow (the zero-boundary case)."""
     _check_cap(G, cap)
-    return bool(_reach(G)[0])
+    return bool(_reach(G) & 1)

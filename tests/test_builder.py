@@ -1,8 +1,10 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from z3conn.builder import ConstructionError, realize, realize_family
 from z3conn.reducer import replay
-from z3conn.seqcore import Kind, Route, classify, parse_sequence
+from z3conn.seqcore import (Classification, DegreeSequence, Kind, Route,
+                            classify, parse_sequence)
 from z3conn.verifier import is_z3_connected
 
 
@@ -137,3 +139,67 @@ def test_trace_is_informative():
     res = check_realized("(6,4^5,3^4)")
     assert res.trace
     assert all(isinstance(line, str) for line in res.trace)
+
+
+def _is_exception(d):
+    """The exception families, written out apart from `classify`:
+    (n-3, 3^(n-1)), and (k, 3^k) and (k, k, 3^(k-1)) for odd k = n-1."""
+    n = len(d)
+    odd_top = d[0] == n - 1 and d[0] % 2 == 1
+    return ((set(d[1:]) == {3} and (d[0] == n - 3 or odd_top))
+            or (odd_top and d[1] == d[0] and set(d[2:]) == {3}))
+
+
+_GAP = {Route.T12: 1, Route.L41: 2, Route.T14: 3}
+
+
+@st.composite
+def covered_sequences(draw):
+    """A covered sequence and its route, drawn route first and graphic by
+    construction: vertex 0 gets the route's d1 and a random neighbourhood,
+    the other vertices a Hamiltonian cycle, and then edges among them lift
+    every degree into [3, d1], add random extras, keep at most five 3s on
+    T15 and move the sequence off the exception families."""
+    route = draw(st.sampled_from(list(Route)))
+    n = draw(st.integers({Route.T12: 5, Route.L41: 6, Route.T14: 7,
+                          Route.T15: 8}[route], 12))
+    top = n - _GAP[route] if route in _GAP else draw(st.integers(4, n - 4))
+    order = draw(st.permutations(range(1, n)))
+    edges, deg = set(), [0] * n
+
+    def join(u, v):
+        edges.add((min(u, v), max(u, v)))
+        deg[u] += 1
+        deg[v] += 1
+
+    def free(u, degree=None):
+        """Non-neighbours of u below degree top, lowest degree first."""
+        return sorted((w for w in range(1, n) if w != u
+                       and (min(u, w), max(u, w)) not in edges
+                       and deg[w] < top and degree in (None, deg[w])),
+                      key=deg.__getitem__)
+
+    for v in order[:top]:
+        join(0, v)
+    for u, v in zip(order, order[1:] + order[:1]):
+        join(u, v)
+    for u in order:
+        if deg[u] < 3:
+            join(u, free(u)[0])
+    pairs = st.tuples(st.integers(1, n - 1), st.integers(1, n - 1))
+    for u, v in draw(st.lists(pairs, max_size=2 * n)):
+        if deg[u] < top and v in free(u):
+            join(u, v)
+    while ((route is Route.T15 and deg.count(3) > 5)
+           or _is_exception(sorted(deg, reverse=True))):
+        u = next(w for w in range(1, n) if deg[w] == 3 and free(w, 3))
+        join(u, free(u, 3)[0])
+    return DegreeSequence.of(deg), route
+
+
+@settings(max_examples=100, deadline=None)
+@given(covered_sequences())
+def test_generated_covered_sequences_are_realized_and_confirmed(drawn):
+    seq, route = drawn
+    assert classify(seq) == Classification(Kind.COVERED, route=route)
+    check_realized(seq.render())

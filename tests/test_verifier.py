@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from z3conn import verifier
 from z3conn.catalog import base_graph, wheel
 from z3conn.graph import (Multigraph, build_graph, complete_bipartite,
                           complete_graph, cycle_graph)
@@ -147,7 +148,10 @@ def test_early_stop_and_edge_count_bound_match_naive():
 
 def test_oracle_memory_at_n14():
     G = wheel(13)  # n = 14, m = 26; odd wheel, so the DP never fills up
-    state = 3 ** 13  # bytes in one zero-sum layer
+    state = 3 ** 13  # bytes in 8 zero-sum layers of 3^13 bits each
+    # build the n = 14 digit masks inside the traced region, whatever ran
+    # before this test
+    verifier._masks.cache_clear()
     tracemalloc.start()
     try:
         assert not is_z3_connected(G)
@@ -158,7 +162,33 @@ def test_oracle_memory_at_n14():
     finally:
         tracemalloc.stop()
     assert state <= peak_yes_no < 3 * state
-    assert peak_witness < (G.m + 2) * state
+    assert peak_witness < 8 * state
+
+
+def test_digit_masks_at_large_n_match_naive():
+    # sparse multigraphs reach every digit mask up to the cap, including
+    # edges at vertex n-1 (which has no digit) in both orientations
+    rng = random.Random(211)
+    for n in range(9, 15):
+        for _ in range(3):
+            last = n - 1
+            edges = [(last, rng.randrange(last)), (rng.randrange(last), last)]
+            edges += [tuple(rng.sample(range(n), 2))
+                      for _ in range(rng.randint(4, 14))]
+            rng.shuffle(edges)
+            G = Multigraph(n, tuple(edges))
+            reach = naive_boundaries(G)
+            flat = np.ravel_multi_index(tuple(zip(*reach)), (3,) * n)
+            got = np.flatnonzero(reachable_boundaries(G))
+            assert got.tolist() == sorted(flat.tolist())
+            for b in rng.sample(sorted(reach), 3):
+                flow = solve_boundary(G, ZeroSumFunction(b))
+                assert boundary(G, flow).values == b
+            for _ in range(3):
+                b = [rng.randrange(3) for _ in range(last)]
+                b = tuple(b + [-sum(b) % 3])
+                flow = solve_boundary(G, ZeroSumFunction(b))
+                assert (flow is None) == (b not in reach)
 
 
 def test_solve_boundary_unreachable():
