@@ -1,7 +1,9 @@
 """Constructions realizing covered degree sequences as Z3-connected graphs.
 
 Each covered sequence is built by one of four routes keyed on d1:
-  T12 (d1 = n-1): enumeration search, no closed-form construction.
+  T12 (d1 = n-1): a residual step when d3 >= 4; otherwise vertex 0
+    joined to a flower of cycles (the wheel W_{n-1} among them), a theta
+    graph, a second dominating vertex, or K5.
   L41 (d1 = n-2): a residual step when d3 >= 4; otherwise a wheel plus
     an independent set, or the (n-2,4,3^(n-2)) family.
   T14 (d1 = n-3): a residual step, or wheel-based gadgets for the
@@ -18,8 +20,9 @@ Constructions carry their own reduction certificate: a list of lift and
 contraction steps that collapses the graph to a single vertex.  Steps of
 separately built pieces compose (merging never deletes vertices, so edges
 added between pieces survive until their turn), and each re-attached
-vertex adds one 2-cycle contraction.  Search-based results carry no steps
-and fall back to the certifier or the oracle.
+vertex adds one 2-cycle contraction.  Every covered sequence is proved
+by replaying its certificate; only the out-of-coverage fallback search
+relies on the certifier or the oracle.
 """
 from __future__ import annotations
 
@@ -32,7 +35,7 @@ from .reducer import (Certificate, Step, base_step, certify, lift_step, replay,
                       two_cycle_step, wheel_step)
 from .seqcore import (Classification, DegreeSequence, Kind, Route, classify,
                       residual)
-from .verifier import DEFAULT_CAP, is_z3_connected
+from .verifier import is_z3_connected
 
 FALLBACK_LIMIT = 10 ** 6
 
@@ -43,12 +46,11 @@ class ConstructionError(RuntimeError):
 
 @dataclasses.dataclass
 class _Pack:
-    """A built graph, its reduction steps (None when search-based; when
-    present they use only lift/contract steps and end with every vertex in
-    one class), and human-readable trace lines."""
+    """A built graph, its reduction steps (only lift/contract steps, ending
+    with every vertex in one class), and human-readable trace lines."""
 
     graph: Multigraph
-    steps: list[Step] | None
+    steps: list[Step]
     trace: list[str]
 
 
@@ -59,18 +61,18 @@ class RealizationResult:
     status: str  # "realized" | "exception" | "not_graphic" | "unsupported"
     graph: Multigraph | None = None
     certificate: Certificate | None = None
-    proof: str | None = None  # "certificate" | "oracle" | "unverified"
+    proof: str | None = None  # "certificate" | "oracle"
     trace: tuple[str, ...] = ()
 
 
-def realize(seq: DegreeSequence, oracle_cap: int = DEFAULT_CAP,
+def realize(seq: DegreeSequence,
             allow_fallback: bool = True) -> RealizationResult:
     """Realize a degree sequence as a Z3-connected simple graph.
 
-    Covered sequences always succeed (a failure is a bug and raises).
-    Out-of-coverage sequences get a bounded enumeration search when
-    allow_fallback is set; exhaustion yields status "unsupported", never a
-    wrong negative.
+    Covered sequences always succeed with a certificate that replays (a
+    failure is a bug and raises).  Out-of-coverage sequences get a bounded
+    enumeration search when allow_fallback is set; exhaustion yields
+    status "unsupported", never a wrong negative.
     """
     c = classify(seq)
     if c.kind == Kind.NOT_GRAPHIC:
@@ -83,20 +85,34 @@ def realize(seq: DegreeSequence, oracle_cap: int = DEFAULT_CAP,
             trace=(f"no Z3-connected realization exists ({c.kind.value})",))
     if c.kind == Kind.COVERED:
         pack = _build(seq, c.route)
-        return _finish(seq, c, pack, oracle_cap)
-    # out of coverage
-    if allow_fallback and seq.n <= ENUMERATE_N_MAX:
-        try:
-            pack = _search_pack(seq, "out-of-coverage fallback search")
-        except ConstructionError:
+        _validate(seq, pack.graph)
+        cert = Certificate(tuple(pack.steps) + (Step("done"),))
+        rr = replay(pack.graph, cert)
+        if not rr.ok:
+            raise ConstructionError(
+                f"built certificate failed replay at step {rr.failed_step}: "
+                f"{rr.message}")
+        return RealizationResult(seq, c, "realized", pack.graph, cert,
+                                 "certificate", tuple(pack.trace))
+    if not (allow_fallback and seq.n <= ENUMERATE_N_MAX):
+        return RealizationResult(
+            seq, c, "unsupported",
+            trace=("out of coverage and beyond fallback search size",))
+    # the first candidate the oracle accepts is realized; that oracle check
+    # is its proof unless certify finds a certificate as well
+    for checked, G in enumerate(all_realizations(seq, limit=FALLBACK_LIMIT),
+                                start=1):
+        if is_z3_connected(G):
+            found = certify(G)
             return RealizationResult(
-                seq, c, "unsupported",
-                trace=("out of coverage; fallback search found no "
-                       "Z3-connected realization within limits",))
-        return _finish(seq, c, pack, oracle_cap)
+                seq, c, "realized", G, found.certificate,
+                "certificate" if found.proved else "oracle",
+                (f"out-of-coverage fallback search: candidate {checked} "
+                 "verified",))
     return RealizationResult(
         seq, c, "unsupported",
-        trace=("out of coverage and beyond fallback search size",))
+        trace=("out of coverage; fallback search found no "
+               "Z3-connected realization within limits",))
 
 
 def realize_family(seq: DegreeSequence, route: Route) -> Multigraph:
@@ -104,33 +120,6 @@ def realize_family(seq: DegreeSequence, route: Route) -> Multigraph:
     pack = _build(seq, route)
     _validate(seq, pack.graph)
     return pack.graph
-
-
-def _finish(seq: DegreeSequence, c: Classification, pack: _Pack,
-            oracle_cap: int) -> RealizationResult:
-    G = pack.graph
-    _validate(seq, G)
-    if pack.steps is not None:
-        cert = Certificate(tuple(pack.steps) + (Step("done"),))
-        rr = replay(G, cert)
-        if not rr.ok:
-            raise ConstructionError(
-                f"built certificate failed replay at step {rr.failed_step}: "
-                f"{rr.message}")
-        return RealizationResult(seq, c, "realized", G, cert, "certificate",
-                                 tuple(pack.trace))
-    found = certify(G)
-    if found.proved:
-        return RealizationResult(seq, c, "realized", G, found.certificate,
-                                 "certificate", tuple(pack.trace))
-    if G.n <= oracle_cap:
-        if not is_z3_connected(G, oracle_cap):
-            raise ConstructionError(
-                f"construction for {seq.render()} is not Z3-connected")
-        return RealizationResult(seq, c, "realized", G, None, "oracle",
-                                 tuple(pack.trace))
-    return RealizationResult(seq, c, "realized", G, None, "unverified",
-                             tuple(pack.trace))
 
 
 def _validate(seq: DegreeSequence, G: Multigraph):
@@ -174,8 +163,7 @@ def _build(seq: DegreeSequence, route: Route) -> _Pack:
         for a in anchors:
             degs[a] += 1
         degs.append(len(anchors))
-        if pack.steps is not None:
-            pack.steps.append(two_cycle_step(anchors[0], v))
+        pack.steps.append(two_cycle_step(anchors[0], v))
     return _Pack(Multigraph(len(degs), tuple(edges)), pack.steps,
                  trace + pack.trace)
 
@@ -235,25 +223,14 @@ def _base_pack(name: str, note: str) -> _Pack:
     return _Pack(G, [base_step(name, tuple(range(G.n)))], [note])
 
 
-def _wheel_pack(k: int, note: str) -> _Pack:
-    G = wheel(k)
-    return _Pack(G, [wheel_step(0, tuple(range(1, k + 1)))], [note])
-
-
-def _shift_step(step: Step, off: int) -> Step:
-    if step.kind == "lift":
-        u, v, w = step.args
-        return lift_step(u + off, v + off, w + off)
-    if step.kind == "contract-2cycle":
-        u, v = step.args
-        return two_cycle_step(u + off, v + off)
-    if step.kind == "contract-even-wheel":
-        c, rim = step.args
-        return wheel_step(c + off, tuple(r + off for r in rim))
-    if step.kind == "contract-base":
-        name, vs = step.args
-        return base_step(name, tuple(v + off for v in vs))
-    raise ConstructionError(f"cannot shift step {step.kind}")
+def _shift(args, off: int):
+    """Step arguments with every vertex label raised by off; base names
+    are kept."""
+    if isinstance(args, str):
+        return args
+    if isinstance(args, tuple):
+        return tuple(_shift(a, off) for a in args)
+    return args + off
 
 
 def _glue(p1: _Pack, p2: _Pack, pairs: list[tuple[int, int]],
@@ -265,33 +242,75 @@ def _glue(p1: _Pack, p2: _Pack, pairs: list[tuple[int, int]],
     edges += [(u + n1, v + n1) for u, v in p2.graph.edges]
     edges += [(a, b + n1) for a, b in pairs]
     G = Multigraph(n1 + p2.graph.n, tuple(edges))
-    steps = None
-    if p1.steps is not None and p2.steps is not None:
-        steps = list(p1.steps)
-        steps += [_shift_step(s, n1) for s in p2.steps]
-        steps.append(two_cycle_step(pairs[0][0], pairs[0][1] + n1))
+    steps = p1.steps + [Step(s.kind, _shift(s.args, n1)) for s in p2.steps]
+    steps.append(two_cycle_step(pairs[0][0], pairs[0][1] + n1))
     return _Pack(G, steps, [note] + p1.trace + p2.trace)
-
-
-def _search_pack(seq: DegreeSequence, note: str) -> _Pack:
-    """Enumerate labeled realizations until one verifies Z3-connected."""
-    if seq.n > ENUMERATE_N_MAX:
-        raise ConstructionError(
-            f"search fallback limited to n<={ENUMERATE_N_MAX}, got {seq.n}")
-    checked = 0
-    for G in all_realizations(seq, limit=FALLBACK_LIMIT):
-        checked += 1
-        if is_z3_connected(G):
-            return _Pack(G, None,
-                         [f"{note}: candidate {checked} verified"])
-    raise ConstructionError(
-        f"search found no Z3-connected realization of {seq.render()}")
 
 
 # ----------------------------------------------------------- route: T12
 
-def _build_t12(seq: DegreeSequence) -> _Pack:
-    return _search_pack(seq, "dominating-vertex family via search")
+def _build_t12(seq: DegreeSequence) -> _Pack | None:
+    """Vertex 0 joined to a graph H on 1..n-1.  A residual step keeps
+    d1 = n'-1 and every degree >= 3, so it stays on T12 unless d3 = 3 or
+    the residual is an exception family; those shapes are built here."""
+    d = seq.degrees
+    n = seq.n
+    if d == (4,) * 5:
+        return _base_pack("k5", "K5 realizes (4^5)")
+    if d[2] == 3:
+        return _t12_flower(n, d[1])
+    if n % 2 == 1 and d == (n - 1, 4, 4) + (3,) * (n - 3):
+        # paths 1-3-2, 1-4-2 and 1-5-...-(n-1)-2
+        path = [1, *range(5, n), 2]
+        h = [(1, 3), (2, 3), (1, 4), (2, 4)] + list(zip(path, path[1:]))
+        return _join_pack(n, h, (1, 3, 2, 4),
+                          "dominating vertex joined to a theta graph")
+    if n % 2 == 1 and d == (n - 1, n - 1, 4) + (3,) * (n - 3):
+        h = [(1, v) for v in range(2, n)] + [(2, 3), (2, 4)]
+        h += _matching(list(range(5, n)))
+        return _join_pack(n, h, (1, 3, 2, 4),
+                          "two dominating vertices plus a matching")
+    return None
+
+
+def _t12_flower(n: int, d2: int) -> _Pack:
+    """(n-1, d2, 3^(n-2)) with odd d2: H is a flower of (d2-1)/2 cycles
+    through hub 1.  Each petal has two inner vertices plus a share of the
+    n-1-d2 spare ones, arranged so that petal 1 is an even cycle; at
+    d2 = 3 this is the wheel W_{n-1}."""
+    sizes = [2] * ((d2 - 1) // 2)
+    extra = n - 1 - d2
+    if extra % 2:
+        sizes[0] += extra
+    else:
+        sizes[0] += 1
+        sizes[-1] += extra - 1
+    h, first = [], 2
+    for size in sizes:
+        petal = [1, *range(first, first + size), 1]
+        h += list(zip(petal, petal[1:]))
+        first += size
+    return _join_pack(n, h, tuple(range(1, sizes[0] + 2)),
+                      f"dominating vertex joined to a {len(sizes)}-petal flower")
+
+
+def _join_pack(n: int, h: list[tuple[int, int]], rim: tuple[int, ...],
+               note: str) -> _Pack:
+    """Vertex 0 joined to every vertex of the graph with edges h on
+    1..n-1.  The certificate contracts the even wheel of 0 and rim, then
+    each other vertex v by a 2-cycle: its edge to 0 and an H-edge into the
+    merged class, taking v in breadth-first order over H from the rim."""
+    G = Multigraph(n, tuple([(0, v) for v in range(1, n)] + h))
+    nbrs = G.neighbor_sets()
+    order = list(rim)
+    seen = {0, *rim}
+    for u in order:  # grows while it is walked: a breadth-first queue
+        for v in sorted(nbrs[u] - seen):
+            seen.add(v)
+            order.append(v)
+    steps = [wheel_step(0, rim)]
+    steps += [two_cycle_step(0, v) for v in order[len(rim):]]
+    return _Pack(G, steps, [note])
 
 
 # ----------------------------------------------------------- route: L41
@@ -384,28 +403,7 @@ def _t14_two_heavy(seq: DegreeSequence) -> _Pack:
     if d2 == 5:
         if n == 8:
             return _base_pack("fig1d", "fixed realization of (5^2,3^6)")
-        if n % 2 == 1:
-            rim = n - 5
-            s1, s2, x1, x2 = n - 4, n - 3, n - 2, n - 1
-            edges = list(wheel(rim).edges)
-            edges += [(0, s1), (0, s2)]
-            edges += [(1, x1), (s1, x1), (s2, x1)]
-            edges += [(1, x2), (s1, x2), (s2, x2)]
-            steps = [wheel_step(0, tuple(range(1, rim + 1))),
-                     wheel_step(0, (s1, x1, s2, x2))]
-            return _Pack(Multigraph(n, tuple(edges)), steps,
-                         [f"wheel W{rim} with two 3-fans, odd case"])
-        rim = n - 6
-        s1, s2, s3, x1, x2 = n - 5, n - 4, n - 3, n - 2, n - 1
-        edges = list(wheel(rim).edges)
-        edges += [(0, s1), (0, s2), (0, s3), (1, s1)]
-        edges += [(1, x1), (s2, x1), (s3, x1)]
-        edges += [(s1, x2), (s2, x2), (s3, x2)]
-        steps = [wheel_step(0, tuple(range(1, rim + 1))),
-                 two_cycle_step(0, s1),
-                 wheel_step(0, (s2, x1, s3, x2))]
-        return _Pack(Multigraph(n, tuple(edges)), steps,
-                     [f"wheel W{rim} with two 3-fans, even case"])
+        return _t14_fans(n, 1, "two 3-fans")
     # d2 >= 7
     if n % 2 == 0:
         rim = n - d2 + 1
@@ -448,28 +446,34 @@ def _t14_shape_442(n: int) -> _Pack:
         return _base_pack("fig2a", "fixed realization of (4^3,3^4)")
     if n == 8:
         return _base_pack("fig2b", "fixed realization of (5,4^2,3^5)")
+    return _t14_fans(n, 2, "3-fans on two rim vertices")
+
+
+def _t14_fans(n: int, anchor: int, note: str) -> _Pack:
+    """An even wheel with two 3-fans hung off hub 0 and rim vertex 1; the
+    second fan also reaches rim vertex `anchor` (1 or 2)."""
     if n % 2 == 1:
         rim = n - 5
         s1, s2, x1, x2 = n - 4, n - 3, n - 2, n - 1
         edges = list(wheel(rim).edges)
         edges += [(0, s1), (0, s2)]
         edges += [(1, x1), (s1, x1), (s2, x1)]
-        edges += [(2, x2), (s1, x2), (s2, x2)]
+        edges += [(anchor, x2), (s1, x2), (s2, x2)]
         steps = [wheel_step(0, tuple(range(1, rim + 1))),
                  wheel_step(0, (s1, x1, s2, x2))]
         return _Pack(Multigraph(n, tuple(edges)), steps,
-                     [f"wheel W{rim} with 3-fans on two rim vertices, odd case"])
+                     [f"wheel W{rim} with {note}, odd case"])
     rim = n - 6
     s1, s2, s3, x1, x2 = n - 5, n - 4, n - 3, n - 2, n - 1
     edges = list(wheel(rim).edges)
     edges += [(0, s1), (0, s2), (0, s3), (1, s1)]
-    edges += [(2, x1), (s2, x1), (s3, x1)]
+    edges += [(anchor, x1), (s2, x1), (s3, x1)]
     edges += [(s1, x2), (s2, x2), (s3, x2)]
     steps = [wheel_step(0, tuple(range(1, rim + 1))),
              two_cycle_step(0, s1),
              wheel_step(0, (s2, x1, s3, x2))]
     return _Pack(Multigraph(n, tuple(edges)), steps,
-                 [f"wheel W{rim} with 3-fans on two rim vertices, even case"])
+                 [f"wheel W{rim} with {note}, even case"])
 
 
 # ----------------------------------------------------------- route: T15
@@ -496,7 +500,8 @@ def _build_t15(seq: DegreeSequence) -> _Pack | None:
 def _l31_ii(n: int) -> _Pack:
     """(4^(n-4), 3^4) for n >= 5."""
     if n == 5:
-        return _wheel_pack(4, "wheel W4 realizes (4,3^4)")
+        return _Pack(wheel(4), [wheel_step(0, (1, 2, 3, 4))],
+                     ["wheel W4 realizes (4,3^4)"])
     if n == 6:
         return _base_pack("fig1a", "fixed realization of (4^2,3^4)")
     if n == 7:
@@ -504,14 +509,8 @@ def _l31_ii(n: int) -> _Pack:
     if n == 8:
         return _base_pack("fig2c", "fixed realization of (4^4,3^4)")
     if n == 9:
-        # wheel W4 on 0..4 joined to a near-complete block on 5..8
-        edges = list(wheel(4).edges)
-        edges += [(5, 6), (5, 7), (5, 8), (6, 7), (7, 8)]
-        edges += [(1, 6), (2, 8), (3, 5)]
-        steps = [wheel_step(0, (1, 2, 3, 4)),
-                 wheel_step(5, (6, 7, 8, 0))]
-        return _Pack(Multigraph(9, tuple(edges)), steps,
-                     ["wheel W4 joined to near-complete 4-block"])
+        return _w4_block([(1, 6), (2, 8), (3, 5)],
+                         "wheel W4 joined to near-complete 4-block")
     k = n // 2
     p1 = _l31_ii(k)
     p2 = _l31_ii(n - k)
@@ -529,13 +528,8 @@ def _l31_iii(n: int) -> _Pack:
     if n == 8:
         return _base_pack("fig2b", "fixed realization of (5,4^2,3^5)")
     if n == 9:
-        edges = list(wheel(4).edges)
-        edges += [(5, 6), (5, 7), (5, 8), (6, 7), (7, 8)]
-        edges += [(0, 6), (1, 5), (2, 8)]
-        steps = [wheel_step(0, (1, 2, 3, 4)),
-                 wheel_step(5, (6, 7, 8, 0))]
-        return _Pack(Multigraph(9, tuple(edges)), steps,
-                     ["wheel W4 joined to near-complete 4-block, hub-heavy"])
+        return _w4_block([(0, 6), (1, 5), (2, 8)],
+                         "wheel W4 joined to near-complete 4-block, hub-heavy")
     k = n // 2
     p1 = _l31_ii(k)
     p2 = _l31_ii(n - k)
@@ -545,6 +539,16 @@ def _l31_iii(n: int) -> _Pack:
     return _glue(p1, p2, [(u1, b[0]), (u2, b[1])],
                  f"glue (4^{k - 4},3^4) and (4^{n - k - 4},3^4) raising one "
                  "4-vertex to degree 5")
+
+
+def _w4_block(cross: list[tuple[int, int]], note: str) -> _Pack:
+    """Wheel W4 on 0..4 joined by three cross edges to a near-complete
+    block on 5..8."""
+    edges = list(wheel(4).edges)
+    edges += [(5, 6), (5, 7), (5, 8), (6, 7), (7, 8)]
+    edges += cross
+    steps = [wheel_step(0, (1, 2, 3, 4)), wheel_step(5, (6, 7, 8, 0))]
+    return _Pack(Multigraph(9, tuple(edges)), steps, [note])
 
 
 def _t15_wheel_path(n: int, long_head: bool) -> _Pack:
@@ -633,9 +637,7 @@ def _t15_inverse_lift(seq: DegreeSequence) -> _Pack:
     for a, b in picked:
         edges.remove((a, b))
         edges += [(u, a), (u, b)]
-    steps = None
-    if sub.steps is not None:
-        steps = [lift_step(u, a, b) for a, b in picked] + sub.steps
+    steps = [lift_step(u, a, b) for a, b in picked] + sub.steps
     return _Pack(Multigraph(n, tuple(edges)), steps,
                  [f"inverse lifts of {len(picked)} edges onto the 5-vertex"]
                  + sub.trace)
@@ -643,6 +645,7 @@ def _t15_inverse_lift(seq: DegreeSequence) -> _Pack:
 
 # Trace note for each route's residual step, keyed by the route taking it.
 _RESIDUAL_NOTES = {
+    Route.T12: "d1=n-1 with d3>=4",
     Route.L41: "d1=n-2 with d3>=4",
     Route.T14: "d1=n-3 with enough degree above 3",
     Route.T15: "d1<=n-4 with enough degree above 3",

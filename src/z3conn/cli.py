@@ -52,7 +52,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    default="edgelist")
     p.add_argument("--certify", action="store_true",
                    help="print the reduction certificate as well")
-    p.add_argument("--oracle-cap", type=int, default=DEFAULT_CAP)
     p.set_defaults(func=_cmd_realize)
 
     p = sub.add_parser("verify", help="test a graph file for Z3-connectivity")
@@ -97,7 +96,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_realize(args) -> int:
     seq = parse_sequence(args.sequence)
-    r = builder.realize(seq, oracle_cap=args.oracle_cap)
+    r = builder.realize(seq)
     if r.status in ("not_graphic", "exception"):
         print(f"# {r.status}: {seq.render()}")
         for line in r.trace:

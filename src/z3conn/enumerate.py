@@ -33,23 +33,21 @@ def all_realizations(seq: DegreeSequence, limit: int | None = None,
     """All labeled simple graphs with exactly these degrees, streamed.
 
     With dedup=True, one representative per isomorphism class is kept.
-    `limit` bounds the number of graphs yielded.
+    `limit` bounds the number of graphs yielded; it must not be negative.
     """
     n = seq.n
     if n > ENUMERATE_N_MAX:
         raise EnumerationCapError(f"enumeration limited to n<={ENUMERATE_N_MAX}, got {n}")
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be nonnegative, got {limit}")
     if not is_graphic(seq):
-        return
-    seen: dict[str, list[nx.Graph]] = {}
-    count = 0
-    for edges in _assign(list(seq.degrees), 0, []):
-        G = Multigraph(n, tuple(edges))
-        if dedup and not _is_new(G, seen):
-            continue
-        yield G
-        count += 1
-        if limit is not None and count >= limit:
-            return
+        return iter(())
+    graphs = (Multigraph(n, tuple(edges))
+              for edges in _assign(list(seq.degrees), 0, []))
+    if dedup:
+        seen: dict[str, list[nx.Graph]] = {}
+        graphs = (G for G in graphs if _is_new(G, seen))
+    return itertools.islice(graphs, limit)
 
 
 def _assign(deg: list[int], v: int, edges: list) -> Iterator[list]:

@@ -57,7 +57,7 @@ def run_sweep(n_min: int = 6, n_max: int = 10,
 
 def _check_one(seq: DegreeSequence, oracle_cap: int) -> tuple[bool, str]:
     try:
-        r = realize(seq, oracle_cap=oracle_cap)
+        r = realize(seq)
     except Exception as exc:  # a construction bug; report, do not crash
         return False, f"error: {exc}"
     if r.status != "realized":

@@ -1,10 +1,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import z3conn.builder
 from z3conn.builder import ConstructionError, realize, realize_family
 from z3conn.reducer import replay
 from z3conn.seqcore import (Classification, DegreeSequence, Kind, Route,
                             classify, parse_sequence)
+from z3conn.sweep import graphic_sequences
 from z3conn.verifier import is_z3_connected
 
 
@@ -81,14 +83,37 @@ def test_low_maximum_families():
 def test_certificates_scale_past_oracle_cap():
     # closed-form constructions carry their own proof, so size is no bar;
     # the n = 1000 T14 sequence takes 349 residual steps, which must not
-    # recurse once per step under the default recursion limit
+    # recurse once per step under the default recursion limit.  The T12
+    # inputs cover the flower, theta and two-dominating-vertex joins and a
+    # long residual run; the last two are L41 and T14 inputs whose
+    # residual steps reach T12.
     for text in ["(14,4,3^14)", "(13,5,3^14)", "(6,4^13,3^4)",
-                 "(4^12,3^4)", "(9,4^9,3^5)", "(997,4^700,3^299)"]:
+                 "(4^12,3^4)", "(9,4^9,3^5)", "(997,4^700,3^299)",
+                 "(20,5,3^19)", "(15,4^2,3^13)", "(16,16,4,3^14)",
+                 "(14,9,3^13)", "(999,4^600,3^399)",
+                 "(38^2,27^2,25,17,16,6^8,5^7,4^9,3^9)",
+                 "(77,76,74,55,46,42,6^19,5^16,4^29,3^10)"]:
         res = run(text)
         assert res.status == "realized"
         assert res.proof == "certificate"
         assert replay(res.graph, res.certificate).ok
         assert res.graph.n > 14
+
+
+def test_covered_sequences_need_no_search_or_oracle(monkeypatch):
+    # every covered sequence is proved by replaying its built certificate
+    def forbidden(*args, **kwargs):
+        raise AssertionError("search or oracle used on a covered sequence")
+
+    for name in ("all_realizations", "is_z3_connected", "certify"):
+        monkeypatch.setattr(z3conn.builder, name, forbidden)
+    checked = 0
+    for n in range(5, 10):
+        for seq in graphic_sequences(n):
+            if classify(seq).kind is Kind.COVERED:
+                assert realize(seq).proof == "certificate", seq.render()
+                checked += 1
+    assert checked == 1098
 
 
 def test_out_of_coverage_fallback_positive():

@@ -200,6 +200,11 @@ def test_enumerate_command():
     code, out, _ = run_cli("enumerate", "(3,3,1,1)")
     assert code == 1
     assert "# total: 0" in out
+    code, out, _ = run_cli("enumerate", "(3^4)", "--limit", "0")
+    assert (code, out) == (1, "# total: 0\n")
+    code, out, err = run_cli("enumerate", "(3^4)", "--limit", "-1")
+    assert (code, out) == (2, "")
+    assert "limit must be nonnegative" in err
 
 
 @pytest.mark.parametrize("text, name", [("(4,3^6)", "dedup_4_3x6.txt"),

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from z3conn.seqcore import (Classification, DegreeSequence, Kind, Route,
                             SequenceError, SequenceSyntaxError, classify,
@@ -25,6 +26,31 @@ def test_parse_render_roundtrip():
                       reverse=True)
         seq = DegreeSequence(tuple(degs))
         assert parse_sequence(seq.render()) == seq
+
+
+@st.composite
+def runs(draw):
+    """A sequence as (value, run length) pairs: distinct values in
+    descending order, runs up to 3000 long."""
+    values = draw(st.lists(st.integers(1, 10 ** 4), min_size=1, max_size=8,
+                           unique=True))
+    counts = draw(st.lists(st.integers(1, 3000), min_size=len(values),
+                           max_size=len(values)))
+    return sorted(zip(values, counts), reverse=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(runs(), st.data())
+def test_parse_render_roundtrip_with_long_runs(pairs, data):
+    seq = DegreeSequence(tuple(v for v, c in pairs for _ in range(c)))
+    text = seq.render()
+    assert text.count("^") == sum(c > 1 for _, c in pairs)
+    assert parse_sequence(text) == seq
+    # exponent terms in any order, with or without "^1", parse the same
+    terms = [f"{v}^{c}" if c > 1 or data.draw(st.booleans()) else str(v)
+             for v, c in pairs]
+    shuffled = data.draw(st.permutations(terms))
+    assert parse_sequence("(" + ",".join(shuffled) + ")") == seq
 
 
 def test_render_exponents():
