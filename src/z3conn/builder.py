@@ -15,6 +15,10 @@ Each covered sequence is built by one of four routes keyed on d1:
 A residual step deletes the smallest degree (see seqcore.residual).  The
 builder loops: it peels residual steps until some route builds the rest
 in closed form, then re-attaches the peeled vertices in reverse order.
+The loop holds the sequence as (value, count) runs, so a step costs
+O(runs touched), and re-attachment pops anchors from per-degree min-heaps
+of labels; graphicality is checked once, since by Kleitman-Wang (1973) a
+residual step keeps a graphic sequence graphic.
 
 Constructions carry their own reduction certificate: a list of lift and
 contraction steps that collapses the graph to a single vertex.  Steps of
@@ -27,6 +31,7 @@ relies on the certifier or the oracle.
 from __future__ import annotations
 
 import dataclasses
+import heapq
 
 from .catalog import base_graph, wheel
 from .enumerate import ENUMERATE_N_MAX, all_realizations
@@ -34,7 +39,8 @@ from .graph import Multigraph
 from .reducer import (Certificate, Step, base_step, certify, lift_step, replay,
                       two_cycle_step, wheel_step)
 from .seqcore import (Classification, DegreeSequence, Kind, Route, classify,
-                      residual)
+                      classify_shape, merge_runs, render_runs, residual_runs,
+                      run_entry)
 from .verifier import is_z3_connected
 
 FALLBACK_LIMIT = 10 ** 6
@@ -134,53 +140,59 @@ def _validate(seq: DegreeSequence, G: Multigraph):
 def _build(seq: DegreeSequence, route: Route) -> _Pack:
     """Build a covered sequence on the given route.
 
-    Route builders return None where they take a residual step.  Each
-    such step peels the smallest-degree vertex; once a route builds the
-    remaining sequence in closed form, the peeled vertices are attached
-    back in reverse, each to the lowest-labeled vertices whose current
-    degrees match the entries the residual decremented.
+    Route builders read the runs and return None where they take a
+    residual step, which renders its trace line from the runs and skips
+    the graphicality check (Kleitman-Wang).  The peeled vertices then go
+    back in reverse, each joined to the lowest-labeled vertices, popped
+    from the degree heaps, whose degrees the residual decremented.
     """
-    peeled: list[list[int]] = []  # per step, the anchors' current degrees
+    runs, n = seq.runs(), seq.n
+    peeled: list[list[tuple[int, int]]] = []  # per step, the anchors' degrees
     trace: list[str] = []
-    while (pack := _ROUTES[route](seq)) is None:
-        rest = residual(seq)
-        k = seq.degrees[-1]
+    while (pack := _ROUTES[route](runs, n)) is None:
+        k = runs[-1][0]
+        peeled.append(residual_runs(runs))
+        n -= 1
         trace.append(f"{_RESIDUAL_NOTES[route]}: attach degree-{k} vertex "
-                     f"to realization of {rest.render()}")
-        peeled.append([d - 1 for d in seq.degrees[:k]])
-        c = classify(rest)
+                     f"to realization of {render_runs(runs)}")
+        c = classify_shape(runs, n)
         if c.kind != Kind.COVERED:
             raise ConstructionError(
                 f"residual steps left the covered families at "
-                f"{rest.render()} ({c.kind.value})")
-        seq, route = rest, c.route
+                f"{render_runs(runs)} ({c.kind.value})")
+        route = c.route
     edges = list(pack.graph.edges)
-    degs = pack.graph.degrees()
-    for needed in reversed(peeled):
-        anchors = _pick_by_degrees(degs, needed)
-        v = len(degs)
+    heaps = _degree_heaps(pack.graph)
+    v = pack.graph.n
+    for lowered in reversed(peeled):
+        needed = [d for d, t in lowered for _ in range(t)]
+        anchors = _pick_by_degrees(heaps, needed)
+        for a, d in zip(anchors, needed):
+            heapq.heappush(heaps.setdefault(d + 1, []), a)
+        heapq.heappush(heaps.setdefault(len(anchors), []), v)
         edges += [(a, v) for a in anchors]
-        for a in anchors:
-            degs[a] += 1
-        degs.append(len(anchors))
         pack.steps.append(two_cycle_step(anchors[0], v))
-    return _Pack(Multigraph(len(degs), tuple(edges)), pack.steps,
-                 trace + pack.trace)
+        v += 1
+    return _Pack(Multigraph(v, tuple(edges)), pack.steps, trace + pack.trace)
 
 
 # ---------------------------------------------------------------- helpers
 
-def _pick_by_degrees(degs: list[int], needed: list[int]) -> list[int]:
-    """Distinct vertices matching the needed degrees, lowest labels first."""
-    used: set[int] = set()
+def _degree_heaps(G: Multigraph) -> dict[int, list[int]]:
+    """Vertex labels bucketed by degree, each bucket a sorted min-heap."""
+    heaps: dict[int, list[int]] = {}
+    for v, d in enumerate(G.degrees()):
+        heaps.setdefault(d, []).append(v)
+    return heaps
+
+
+def _pick_by_degrees(heaps: dict[int, list[int]], needed: list[int]) -> list[int]:
+    """Pop vertices of the needed degrees, lowest labels first."""
     picks = []
     for want in needed:
-        v = next((v for v in range(len(degs))
-                  if v not in used and degs[v] == want), None)
-        if v is None:
+        if not heaps.get(want):
             raise ConstructionError(f"no spare vertex of degree {want}")
-        used.add(v)
-        picks.append(v)
+        picks.append(heapq.heappop(heaps[want]))
     return picks
 
 
@@ -249,23 +261,21 @@ def _glue(p1: _Pack, p2: _Pack, pairs: list[tuple[int, int]],
 
 # ----------------------------------------------------------- route: T12
 
-def _build_t12(seq: DegreeSequence) -> _Pack | None:
+def _build_t12(runs: list[tuple[int, int]], n: int) -> _Pack | None:
     """Vertex 0 joined to a graph H on 1..n-1.  A residual step keeps
     d1 = n'-1 and every degree >= 3, so it stays on T12 unless d3 = 3 or
     the residual is an exception family; those shapes are built here."""
-    d = seq.degrees
-    n = seq.n
-    if d == (4,) * 5:
+    if runs == [(4, 5)]:
         return _base_pack("k5", "K5 realizes (4^5)")
-    if d[2] == 3:
-        return _t12_flower(n, d[1])
-    if n % 2 == 1 and d == (n - 1, 4, 4) + (3,) * (n - 3):
+    if run_entry(runs, 2) == 3:
+        return _t12_flower(n, run_entry(runs, 1))
+    if n % 2 == 1 and runs == merge_runs([(n - 1, 1), (4, 2), (3, n - 3)]):
         # paths 1-3-2, 1-4-2 and 1-5-...-(n-1)-2
         path = [1, *range(5, n), 2]
         h = [(1, 3), (2, 3), (1, 4), (2, 4)] + list(zip(path, path[1:]))
         return _join_pack(n, h, (1, 3, 2, 4),
                           "dominating vertex joined to a theta graph")
-    if n % 2 == 1 and d == (n - 1, n - 1, 4) + (3,) * (n - 3):
+    if n % 2 == 1 and runs == merge_runs([(n - 1, 2), (4, 1), (3, n - 3)]):
         h = [(1, v) for v in range(2, n)] + [(2, 3), (2, 4)]
         h += _matching(list(range(5, n)))
         return _join_pack(n, h, (1, 3, 2, 4),
@@ -315,12 +325,10 @@ def _join_pack(n: int, h: list[tuple[int, int]], rim: tuple[int, ...],
 
 # ----------------------------------------------------------- route: L41
 
-def _build_l41(seq: DegreeSequence) -> _Pack | None:
-    d = seq.degrees
-    n = seq.n
-    if d[2] >= 4:
+def _build_l41(runs: list[tuple[int, int]], n: int) -> _Pack | None:
+    if run_entry(runs, 2) >= 4:
         return None
-    d2 = d[1]
+    d2 = run_entry(runs, 1)
     if d2 == 4:
         return _l31_i(n)
     # (n-2, d2, 3^(n-2)) with even d2 >= 6
@@ -386,20 +394,16 @@ def _l31_i(n: int) -> _Pack:
 
 # ----------------------------------------------------------- route: T14
 
-def _build_t14(seq: DegreeSequence) -> _Pack | None:
-    d = seq.degrees
-    n = seq.n
-    if d[2] == 3:
-        return _t14_two_heavy(seq)
-    if d == (n - 3, 4, 4) + (3,) * (n - 3):
+def _build_t14(runs: list[tuple[int, int]], n: int) -> _Pack | None:
+    if run_entry(runs, 2) == 3:
+        return _t14_two_heavy(n, run_entry(runs, 1))
+    if runs == merge_runs([(n - 3, 1), (4, 2), (3, n - 3)]):
         return _t14_shape_442(n)
     return None
 
 
-def _t14_two_heavy(seq: DegreeSequence) -> _Pack:
+def _t14_two_heavy(n: int, d2: int) -> _Pack:
     """(n-3, d2, 3^(n-2)) with odd d2 >= 5."""
-    d2 = seq.degrees[1]
-    n = seq.n
     if d2 == 5:
         if n == 8:
             return _base_pack("fig1d", "fixed realization of (5^2,3^6)")
@@ -478,22 +482,21 @@ def _t14_fans(n: int, anchor: int, note: str) -> _Pack:
 
 # ----------------------------------------------------------- route: T15
 
-def _build_t15(seq: DegreeSequence) -> _Pack | None:
-    d = seq.degrees
-    n = seq.n
-    d1 = d[0]
-    if d == (d1,) + (4,) * (n - 6) + (3,) * 5 and d1 % 2 == 1:
+def _build_t15(runs: list[tuple[int, int]], n: int) -> _Pack | None:
+    d1 = runs[0][0]
+    if runs == merge_runs([(d1, 1), (4, n - 6), (3, 5)]) and d1 % 2 == 1:
         if d1 == 5:
             return _l31_iii(n)
-        return _t15_inverse_lift(seq)
-    if d == (4,) * (n - 4) + (3,) * 4:
+        return _t15_inverse_lift(runs, n)
+    if runs == merge_runs([(4, n - 4), (3, 4)]):
         return _l31_ii(n)
-    if d == (d1,) + (4,) * (n - 5) + (3,) * 4 and d1 % 2 == 0 and d1 >= 6:
+    if (runs == merge_runs([(d1, 1), (4, n - 5), (3, 4)]) and d1 % 2 == 0
+            and d1 >= 6):
         if d1 == n - 4:
             return _t15_wheel_path(n, long_head=False)
         if d1 == n - 5:
             return _t15_wheel_path(n, long_head=True)
-        return _t15_squared_cycle(seq)
+        return _t15_squared_cycle(n, d1)
     return None
 
 
@@ -514,8 +517,8 @@ def _l31_ii(n: int) -> _Pack:
     k = n // 2
     p1 = _l31_ii(k)
     p2 = _l31_ii(n - k)
-    a = _pick_by_degrees(p1.graph.degrees(), [3, 3])
-    b = _pick_by_degrees(p2.graph.degrees(), [3, 3])
+    a = _pick_by_degrees(_degree_heaps(p1.graph), [3, 3])
+    b = _pick_by_degrees(_degree_heaps(p2.graph), [3, 3])
     return _glue(p1, p2, [(a[0], b[0]), (a[1], b[1])],
                  f"glue (4^{k - 4},3^4) and (4^{n - k - 4},3^4) on two "
                  "3-vertex pairs")
@@ -533,9 +536,8 @@ def _l31_iii(n: int) -> _Pack:
     k = n // 2
     p1 = _l31_ii(k)
     p2 = _l31_ii(n - k)
-    u1 = _pick_by_degrees(p1.graph.degrees(), [4])[0]
-    u2 = _pick_by_degrees(p1.graph.degrees(), [3])[0]
-    b = _pick_by_degrees(p2.graph.degrees(), [3, 3])
+    u1, u2 = _pick_by_degrees(_degree_heaps(p1.graph), [4, 3])
+    b = _pick_by_degrees(_degree_heaps(p2.graph), [3, 3])
     return _glue(p1, p2, [(u1, b[0]), (u2, b[1])],
                  f"glue (4^{k - 4},3^4) and (4^{n - k - 4},3^4) raising one "
                  "4-vertex to degree 5")
@@ -580,11 +582,9 @@ def _t15_wheel_path(n: int, long_head: bool) -> _Pack:
                  [f"wheel W{rim} with pendant path of {len(xs)}"])
 
 
-def _t15_squared_cycle(seq: DegreeSequence) -> _Pack:
+def _t15_squared_cycle(n: int, d1: int) -> _Pack:
     """(d1, 4^(n-5), 3^4) with 6 <= d1 <= n-6: an even wheel W_d1 bridged
     to a squared cycle missing one chord."""
-    d1 = seq.degrees[0]
-    n = seq.n
     m = n - d1 - 1
     if m < 5:
         raise ConstructionError("squared-cycle piece needs at least 5 vertices")
@@ -610,14 +610,13 @@ def _t15_squared_cycle(seq: DegreeSequence) -> _Pack:
                  [f"wheel W{d1} bridged to squared {m}-cycle missing a chord"])
 
 
-def _t15_inverse_lift(seq: DegreeSequence) -> _Pack:
+def _t15_inverse_lift(runs: list[tuple[int, int]], n: int) -> _Pack:
     """(d1, 4^(n-6), 3^5) with odd d1 >= 7: start from the d1 = 5 member
     and pull (d1-5)/2 disjoint far edges onto the 5-vertex."""
-    d1 = seq.degrees[0]
-    n = seq.n
+    d1 = runs[0][0]
     sub = _l31_iii(n)
     G = sub.graph
-    u = _pick_by_degrees(G.degrees(), [5])[0]
+    u = _pick_by_degrees(_degree_heaps(G), [5])[0]
     closed = set(G.neighbors(u)) | {u}
     picked = []
     used: set[int] = set(closed)
@@ -632,7 +631,7 @@ def _t15_inverse_lift(seq: DegreeSequence) -> _Pack:
     if len(picked) < (d1 - 5) // 2:
         raise ConstructionError(
             f"not enough disjoint edges away from the 5-vertex in "
-            f"{seq.render()}")
+            f"{render_runs(runs)}")
     edges = list(G.edges)
     for a, b in picked:
         edges.remove((a, b))

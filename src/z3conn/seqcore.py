@@ -50,18 +50,13 @@ class DegreeSequence:
     def n(self) -> int:
         return len(self.degrees)
 
+    def runs(self) -> list[tuple[int, int]]:
+        """The sequence as (value, count) runs, largest value first."""
+        return [(v, len(list(g))) for v, g in itertools.groupby(self.degrees)]
+
     def render(self) -> str:
         """Canonical text form with exponents for runs, e.g. "(6,5,4^4,3)"."""
-        terms = []
-        i = 0
-        while i < len(self.degrees):
-            j = i
-            while j < len(self.degrees) and self.degrees[j] == self.degrees[i]:
-                j += 1
-            run = j - i
-            terms.append(str(self.degrees[i]) if run == 1 else f"{self.degrees[i]}^{run}")
-            i = j
-        return "(" + ",".join(terms) + ")"
+        return render_runs(self.runs())
 
     def __str__(self) -> str:
         return self.render()
@@ -158,21 +153,59 @@ def is_graphic(seq: DegreeSequence | Sequence[int]) -> bool:
     return True
 
 
-def residual(seq: DegreeSequence) -> DegreeSequence:
-    """Delete the last (smallest) entry dn and decrement the dn largest.
+def render_runs(runs: list[tuple[int, int]]) -> str:
+    """`DegreeSequence.render` of the sequence with these runs."""
+    return "(" + ",".join(str(v) if c == 1 else f"{v}^{c}" for v, c in runs) + ")"
 
-    Requires n >= 2 and dn <= n - 1 so the reduction is defined.
+
+def run_entry(runs: list[tuple[int, int]], i: int) -> int:
+    """Entry i (from 0) of the sequence with these runs."""
+    for v, c in runs:
+        if i < c:
+            return v
+        i -= c
+    raise IndexError(i)
+
+
+def residual_runs(runs: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """`residual` in place on a nonincreasing run list, in O(runs touched).
+
+    A partly lowered run (v, c) splits into (v, c-t), (v-1, t), and equal
+    neighbouring runs merge.  Returns the lowered entries as (new value,
+    count) runs; after a SequenceError `runs` is left unspecified.
     """
-    n = seq.n
-    k = seq.degrees[-1]
-    if n < 2:
-        raise SequenceError("residual needs at least two entries")
-    if k > n - 1:
-        raise SequenceError(f"smallest degree {k} exceeds n-1={n - 1}")
-    values = [d - 1 for d in seq.degrees[:k]] + list(seq.degrees[k:-1])
-    if 0 in values:
-        raise SequenceError("residual produced a zero degree")
-    return DegreeSequence.of(values)
+    k, c = runs[-1]
+    runs[-1:] = merge_runs([(k, c - 1)])
+    lowered, need, j = [], k, 0
+    while need:
+        if j == len(runs):
+            raise SequenceError(f"smallest degree {k} exceeds "
+                                f"n-1={sum(c for _, c in runs)}")
+        v, c = runs[j]
+        if v == 1:
+            raise SequenceError("residual produced a zero degree")
+        lowered.append((v - 1, min(c, need)))
+        need -= lowered[-1][1]
+        j += 1
+    v, c = runs[j - 1]
+    runs[:j + 1] = merge_runs(lowered[:-1] + [(v, c - lowered[-1][1])]
+                              + lowered[-1:] + runs[j:j + 1])
+    return lowered
+
+
+def merge_runs(pairs) -> list[tuple[int, int]]:
+    """The run list of nonincreasing (value, count) pairs: equal neighbours
+    merge and empty runs drop."""
+    return [(v, total) for v, group in itertools.groupby(pairs, lambda p: p[0])
+            if (total := sum(c for _, c in group))]
+
+
+def residual(seq: DegreeSequence) -> DegreeSequence:
+    """Delete the last (smallest) entry dn and decrement the dn largest;
+    requires n >= 2 and dn <= n - 1 so the reduction is defined."""
+    runs = seq.runs()
+    residual_runs(runs)
+    return DegreeSequence(tuple(v for v, c in runs for _ in range(c)))
 
 
 class Kind(str, enum.Enum):
@@ -210,24 +243,29 @@ def classify(seq: DegreeSequence) -> Classification:
     """
     if not is_graphic(seq):
         return Classification(Kind.NOT_GRAPHIC)
-    d = seq.degrees
-    n = seq.n
-    rest_all_3 = all(x == 3 for x in d[1:])
-    if rest_all_3 and d[0] == n - 3:
+    return classify_shape(seq.runs(), seq.n)
+
+
+def classify_shape(runs: list[tuple[int, int]], n: int) -> Classification:
+    """`classify` of a graphic sequence of n entries, given as runs.  It
+    reads d1, d2, the minimum and the count of 3s: a few runs at each end."""
+    d1, d2 = runs[0][0], run_entry(runs, 1)
+    threes = next((c if v == 3 else 0 for v, c in reversed(runs) if v >= 3), 0)
+    rest_all_3 = threes == n - (d1 != 3)
+    if rest_all_3 and d1 == n - 3:
         return Classification(Kind.EXCEPTION_N3)
-    if rest_all_3 and d[0] == n - 1 and d[0] % 2 == 1:
-        return Classification(Kind.EXCEPTION_ODD_K, k=d[0])
-    if (n >= 2 and d[0] == d[1] == n - 1 and d[0] % 2 == 1
-            and all(x == 3 for x in d[2:])):
-        return Classification(Kind.EXCEPTION_ODD_K_SQUARE, k=d[0])
-    if d[-1] < 3:
+    if rest_all_3 and d1 == n - 1 and d1 % 2 == 1:
+        return Classification(Kind.EXCEPTION_ODD_K, k=d1)
+    if d1 == d2 == n - 1 and d1 % 2 == 1 and threes == n - 2 + 2 * (d1 == 3):
+        return Classification(Kind.EXCEPTION_ODD_K_SQUARE, k=d1)
+    if runs[-1][0] < 3:
         return Classification(Kind.OUT_OF_COVERAGE)
-    if d[0] == n - 1:
+    if d1 == n - 1:
         return Classification(Kind.COVERED, route=Route.T12)
-    if d[0] == n - 2:
+    if d1 == n - 2:
         return Classification(Kind.COVERED, route=Route.L41)
-    if d[0] == n - 3:
+    if d1 == n - 3:
         return Classification(Kind.COVERED, route=Route.T14)
-    if d[0] <= n - 4 and n >= 6 and d[n - 6] >= 4:
+    if d1 <= n - 4 and threes <= 5:  # so n >= 7 and d_(n-5) >= 4
         return Classification(Kind.COVERED, route=Route.T15)
     return Classification(Kind.OUT_OF_COVERAGE)

@@ -40,7 +40,10 @@ class SweepReport:
 
 def run_sweep(n_min: int = 6, n_max: int = 10,
               oracle_cap: int = DEFAULT_CAP) -> SweepReport:
-    """Realize and validate every covered sequence with n_min <= n <= n_max."""
+    """Realize and validate every covered sequence with 1 <= n_min <= n <= n_max."""
+    if n_min < 1 or n_min > n_max:
+        raise ValueError(f"sweep range n_min={n_min}..n_max={n_max} must "
+                         "satisfy 1 <= n_min <= n_max")
     rows = []
     failed = 0
     for n in range(n_min, n_max + 1):

@@ -89,3 +89,49 @@ def random_cubic_graph(rng: random.Random, n: int) -> Multigraph:
         edges = [(min(a, b), max(a, b)) for a, b in zip(ends[::2], ends[1::2])]
         if all(a != b for a, b in edges) and len(set(edges)) == len(edges):
             return Multigraph(n, tuple(edges))
+
+
+def naive_runs(degrees) -> list[tuple[int, int]]:
+    """(value, count) runs of a nonincreasing tuple, by a plain scan."""
+    out = []
+    for d in degrees:
+        if out and out[-1][0] == d:
+            out[-1] = (d, out[-1][1] + 1)
+        else:
+            out.append((d, 1))
+    return out
+
+
+def naive_residual(degrees) -> tuple[int, ...] | None:
+    """Drop the last entry k and lower the k largest, on the whole tuple;
+    None where that is undefined (k > n-1, or a degree would reach 0)."""
+    k = degrees[-1]
+    if k > len(degrees) - 1:
+        return None
+    out = [d - 1 for d in degrees[:k]] + list(degrees[k:-1])
+    return None if 0 in out else tuple(sorted(out, reverse=True))
+
+
+def naive_render(degrees) -> str:
+    return "(" + ",".join(str(v) if c == 1 else f"{v}^{c}"
+                          for v, c in naive_runs(degrees)) + ")"
+
+
+def naive_shape(d) -> tuple[str, str | None, int | None]:
+    """(kind, route, k) of a graphic nonincreasing tuple, read from the
+    family definitions entry by entry."""
+    n = len(d)
+    rest_3 = all(x == 3 for x in d[1:])
+    if rest_3 and d[0] == n - 3:
+        return "exception_n3", None, None
+    if rest_3 and d[0] == n - 1 and d[0] % 2 == 1:
+        return "exception_odd_k", None, d[0]
+    if (n >= 2 and d[0] == d[1] == n - 1 and d[0] % 2 == 1
+            and all(x == 3 for x in d[2:])):
+        return "exception_odd_k_square", None, d[0]
+    if min(d) < 3:
+        return "out_of_coverage", None, None
+    route = {1: "T12", 2: "L41", 3: "T14"}.get(n - d[0])
+    if route is None and n >= 6 and d[n - 6] >= 4:
+        route = "T15"
+    return ("covered", route, None) if route else ("out_of_coverage", None, None)

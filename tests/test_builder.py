@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import z3conn.builder
+import z3conn.seqcore
 from z3conn.builder import ConstructionError, realize, realize_family
 from z3conn.reducer import replay
 from z3conn.seqcore import (Classification, DegreeSequence, Kind, Route,
@@ -98,6 +99,38 @@ def test_certificates_scale_past_oracle_cap():
         assert res.proof == "certificate"
         assert replay(res.graph, res.certificate).ok
         assert res.graph.n > 14
+
+
+def test_residual_loop_makes_no_per_step_passes(monkeypatch):
+    # T12 and T14 inputs with n = 10^4 take thousands of residual steps;
+    # realize checks graphicality once and builds a fixed number of
+    # DegreeSequence objects, however many steps it takes.  The counters
+    # raise as soon as a bound is passed, so a per-step pass fails fast.
+    calls = {}
+
+    def counted(name, bound, f):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            if calls[name] > bound:
+                raise AssertionError(f"{name} called more than {bound} times")
+            return f(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(z3conn.seqcore, "is_graphic",
+                        counted("is_graphic", 1, z3conn.seqcore.is_graphic))
+    monkeypatch.setattr(DegreeSequence, "__post_init__",
+                        counted("DegreeSequence", 4,
+                                DegreeSequence.__post_init__))
+    for text, route in [("(9999,4^6000,3^3999)", Route.T12),
+                        ("(9997,4^7000,3^2999)", Route.T14)]:
+        seq = parse_sequence(text)
+        calls.clear()
+        res = realize(seq)
+        assert res.classification.route is route
+        assert res.status == "realized"
+        assert len(res.trace) > 2500
+        assert replay(res.graph, res.certificate).ok
+        assert calls["is_graphic"] == 1
 
 
 def test_covered_sequences_need_no_search_or_oracle(monkeypatch):

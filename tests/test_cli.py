@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import pathlib
@@ -69,6 +70,26 @@ def test_realize_edgelist_roundtrips_through_verify(tmp_path):
     code, out, _ = run_cli("verify", str(path))
     assert code == 0
     assert "z3_connected=true" in out
+
+
+# SHA-256 of `realize --certify` output for inputs whose residual loop runs
+# hundreds of steps through long runs (the T14 one lands in T12 at n = 30),
+# recorded from the tuple-based residual loop that the run form replaced.
+LONG_RUN_SHA256 = {
+    "(999,4^600,3^399)":
+        "e3864a470ef5ddc2f232443cfb03bfe2a98ec6204bc8a07fb1ad470c1712ae66",
+    "(997,4^700,3^299)":
+        "06a91cb6bb94693586ce52a5a1eb1e4ebfc5441e93d0c1a9a5033722600dc53d",
+    "(77,76,74,55,46,42,6^19,5^16,4^29,3^10)":
+        "856cad4e41d656be1296d54abe84680f2be6ead74c9ea5e46c38fb4de9917936",
+}
+
+
+@pytest.mark.parametrize("text", list(LONG_RUN_SHA256))
+def test_realize_long_runs_match_pinned_bytes(text):
+    code, out, _ = run_cli("realize", "--certify", text)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == LONG_RUN_SHA256[text]
 
 
 def test_realize_json_and_dot():
@@ -221,6 +242,14 @@ def test_sweep_command_small():
     assert code == 0
     assert "0 failures" in out
     assert "route=" in out
+
+
+@pytest.mark.parametrize("bounds", [("9", "6"), ("0", "8"), ("-3", "8")])
+def test_sweep_rejects_bad_range(bounds):
+    code, out, err = run_cli("sweep", "--n-min", bounds[0], "--n-max", bounds[1])
+    assert code == 2
+    assert out == ""
+    assert f"n_min={bounds[0]}..n_max={bounds[1]}" in err
 
 
 def test_oracle_cap_flag(tmp_path):

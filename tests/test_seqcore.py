@@ -1,13 +1,15 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from z3conn.seqcore import (Classification, DegreeSequence, Kind, Route,
                             SequenceError, SequenceSyntaxError, classify,
-                            is_graphic, parse_sequence, residual)
+                            classify_shape, is_graphic, parse_sequence,
+                            render_runs, residual, residual_runs)
 
-from helpers import brute_force_graphic, erdos_gallai_reference
+from helpers import (brute_force_graphic, erdos_gallai_reference, naive_render,
+                     naive_residual, naive_runs, naive_shape)
 
 
 def test_parse_basic_forms():
@@ -131,6 +133,62 @@ def test_residual_preserves_graphicality_both_ways():
         except SequenceError:
             continue
         assert is_graphic(seq) == is_graphic(rest)
+
+
+@st.composite
+def long_run_sequences(draw):
+    """A nonincreasing tuple of up to 8 runs, each up to 3000 long (short
+    runs are drawn as often, to reach the family boundaries), with small
+    values and, often, one or two leading entries at n-1..n-6 so that every
+    route and exception family can occur; the sum is made even."""
+    count = st.one_of(st.integers(1, 6), st.integers(1, 3000))
+    tail = draw(st.lists(st.tuples(st.integers(1, 8), count),
+                         min_size=1, max_size=6, unique_by=lambda r: r[0]))
+    d = [v for v, c in sorted(tail, reverse=True) for _ in range(c)]
+    heads = draw(st.integers(0, 2))
+    gap = draw(st.integers(1, 6))
+    d = [max(len(d) + heads - gap, d[0])] * heads + d
+    if sum(d) % 2:
+        d[-1] += 1 if d[-1] == 1 else -1
+    return tuple(sorted(d, reverse=True))
+
+
+@settings(max_examples=150, deadline=None)
+@given(long_run_sequences())
+@example((5, 5, 5, 2, 2))  # a partly lowered run splits
+@example((5, 4, 4, 3, 3, 3))  # lowered runs merge into the next run
+@example((5, 4, 4, 4, 2))  # a lowered run merges into a run's remainder
+@example((4, 4, 4, 4, 3))  # the last run empties
+@example((2999,) + (3,) * 2999)  # exception (k, 3^k)
+@example((2999, 2999) + (3,) * 2998)  # exception (k, k, 3^(k-1))
+@example((2997,) + (3,) * 2999)  # exception (n-3, 3^(n-1))
+@example((3, 3, 2, 2))  # d1 = d2 = n-1 = 3, but not the (k, k, 3^(k-1)) family
+@example((3, 3, 3, 3, 3, 1))  # d1 = n-3, but not the (n-3, 3^(n-1)) family
+@example((5, 4, 4, 4, 4, 3, 3, 3, 3, 3))  # T15 with five 3s
+def test_run_form_matches_tuple_reference(d):
+    n = len(d)
+    runs = naive_runs(d)
+    assert DegreeSequence(d).runs() == runs
+    assert render_runs(runs) == DegreeSequence(d).render() == naive_render(d)
+    graphic = is_graphic(d)
+    if graphic:
+        kind, route, k = naive_shape(d)
+        assert classify_shape(runs, n) == Classification(
+            Kind(kind), route and Route(route), k)
+    rest = naive_residual(d)
+    if rest is None:
+        with pytest.raises(SequenceError):
+            residual_runs(list(runs))
+        return
+    lowered = residual_runs(runs)
+    assert runs == naive_runs(rest)
+    assert lowered == naive_runs([x - 1 for x in d[:d[-1]]])
+    assert render_runs(runs) == naive_render(rest)
+    assert residual(DegreeSequence(d)) == DegreeSequence(rest)
+    if graphic:  # Kleitman-Wang: the residual stays graphic
+        c = classify(DegreeSequence(rest))
+        assert c.kind is not Kind.NOT_GRAPHIC
+        assert classify_shape(runs, n - 1) == c
 
 
 def test_residual_rejects_undefined():
