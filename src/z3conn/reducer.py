@@ -26,8 +26,10 @@ Step kinds and their preconditions:
 `replay` checks a certificate; `certify` searches for one.  Both run on the
 same `_State`, a class-adjacency map: the search reads it directly at each
 node and applies the steps it finds through the same checks as replay.
-`certify` also reports the budget it spent (`nodes`) and why it stopped
-(`reason`).
+Once no rule fits, each later state is the subgraph induced by the classes
+left, so the absorb search keys states by bitmask and does not walk one
+that already failed again.  `certify` also reports the budget it spent
+(`nodes`) and why it stopped (`reason`).
 """
 from __future__ import annotations
 
@@ -147,13 +149,6 @@ class _State:
         for u, v in G.edges:
             self._add(u, v, 1)
 
-    def copy(self) -> "_State":
-        other = _State.__new__(_State)
-        other.parent = list(self.parent)
-        other.label = list(self.label)
-        other.adj = {r: dict(row) for r, row in self.adj.items()}
-        return other
-
     def __len__(self) -> int:
         """Number of live classes."""
         return len(self.adj)
@@ -220,9 +215,7 @@ class _State:
     def quotient(self) -> tuple[Multigraph, list[int], list[dict[int, int]]]:
         """Current graph on the live classes, with `rows`' names and rows."""
         names, rows = self.rows()
-        edges = tuple((i, j) for i, row in enumerate(rows)
-                      for j, c in row.items() if i < j for _ in range(c))
-        return Multigraph(len(rows), edges), names, rows
+        return _induced(rows, (1 << len(rows)) - 1), names, rows
 
 
 def _apply_step(state: _State, step: Step) -> str | None:
@@ -428,8 +421,11 @@ def certify(G: Multigraph, budget: int = 20000) -> CertifyResult:
     wheel, contract an embedded catalog base, triangular-rule terminal,
     then absorption of a vertex tried with backtracking under a budget.
     The budget counts search nodes: every reduction state the search looks
-    at, one per rule applied and one per absorb branch entered.
+    at, one per rule applied and one per absorb branch entered (a branch
+    to a set of classes already searched in full is charged, not walked).
     """
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     if not G.is_connected():
         return CertifyResult(False, None, 0, "disconnected")
     counter = [budget]
@@ -450,24 +446,23 @@ def _search(state: _State, counter: list[int]) -> tuple[list[Step] | None, str]:
 
     Each node reads the state's class-adjacency map as rows in name order
     (`_State.rows`), without building a graph, and applies the first rule
-    that fits.  When none does, it branches over the classes it could
-    absorb, in name order.  Open branch points sit on an explicit stack,
-    not the call stack, so the absorb depth is not bounded by the
-    recursion limit.
+    that fits.  The first state R where none does roots the absorb search.
+    Absorbing only deletes a class, so each state below R is the subgraph
+    of R induced by the classes left; the 2-cycle, wheel and base searches
+    are exhaustive, so no rule fits there either, and a node below R is
+    fixed by the bitmask of R's classes it keeps.  It ends in `done` or
+    `triangular`, or branches over the classes it could absorb in name
+    order, with degrees kept incrementally and the path on an explicit
+    stack, so the recursion limit does not bound the depth.  A set of
+    classes whose subtree failed in full is not walked again: its recorded
+    node count is charged to the budget, as walking it would have been.
     """
-    # open branch points: (steps from the previous one, state, classes
-    # left to absorb, last one on top)
-    frames: list[tuple[list[Step], _State, list[int]]] = []
     steps: list[Step] = []
     while True:
         if counter[0] <= 0:
             return None, "budget"
         counter[0] -= 1
         names, rows = state.rows()
-        if len(rows) == 1:
-            steps.append(Step("done"))
-            break
-
         parallel = min(((i, j) for i, row in enumerate(rows)
                         for j, c in row.items() if i < j and c >= 2), default=None)
         if parallel is not None:
@@ -492,28 +487,70 @@ def _search(state: _State, counter: list[int]) -> tuple[list[Step] | None, str]:
             if mapping is not None:
                 placed = base_step(name, tuple(names[x] for x in mapping))
                 break
-        if placed is not None:
-            _must_apply(state, placed)
-            steps.append(placed)
-            continue
-
-        degrees = [sum(row.values()) for row in rows]
-        if min(degrees) >= 4 and is_triangularly_connected(state.quotient()[0]):
-            steps.append(Step("triangular"))
+        if placed is None:
             break
+        _must_apply(state, placed)
+        steps.append(placed)
 
-        frames.append((steps, state,
-                       [names[v] for v, d in enumerate(degrees) if d >= 2][::-1]))
-        while frames and not frames[-1][2]:
-            frames.pop()
-        if not frames:
-            return None, "no-rule"
-        _, at, left = frames[-1]
-        v = left.pop()
-        state = at.copy()
-        state.delete_class(v)
-        steps = [absorb_step(v)]
-    return [s for prefix, _, _ in frames for s in prefix] + steps, "proved"
+    deg = [sum(row.values()) for row in rows]
+    mask = (1 << len(rows)) - 1
+    weak = sum(1 << v for v, d in enumerate(deg) if d < 4)
+    able = sum(1 << v for v, d in enumerate(deg) if d >= 2)
+    failed: dict[int, int] = {}   # remaining classes -> nodes of its subtree
+    # the nodes on the path from R: [classes left, those of degree < 4,
+    # those of degree >= 2, those not yet absorbed from this node, counter
+    # on entry, class absorbed to get here]
+    path: list[list] = []
+    start, x = counter[0] + 1, None
+    while True:
+        path.append([mask, weak, able, able, start, x])
+        single = mask & (mask - 1) == 0
+        if single or not weak and is_triangularly_connected(_induced(rows, mask)):
+            return (steps + [absorb_step(names[node[5]]) for node in path[1:]]
+                    + [Step("done" if single else "triangular")]), "proved"
+        while True:
+            node = path[-1]
+            mask, weak, able, left, start, x = node
+            if left:
+                bit = left & -left
+                node[3] = left ^ bit
+                spent = failed.get(mask ^ bit)
+                if spent is None:
+                    break
+                if counter[0] < spent:
+                    counter[0] = 0
+                    return None, "budget"
+                counter[0] -= spent
+                continue
+            failed[mask] = start - counter[0]
+            path.pop()
+            if not path:
+                return None, "no-rule"
+            for y, c in rows[x].items():
+                if mask >> y & 1:
+                    deg[y] += c
+        if counter[0] <= 0:
+            return None, "budget"
+        start = counter[0]
+        counter[0] -= 1
+        x = bit.bit_length() - 1
+        mask, weak, able = mask ^ bit, weak & ~bit, able ^ bit
+        for y, c in rows[x].items():
+            if mask >> y & 1:
+                deg[y] -= c
+                if deg[y] < 4:
+                    weak |= 1 << y
+                    if deg[y] < 2:
+                        able &= ~(1 << y)
+
+
+def _induced(rows: list[dict[int, int]], mask: int) -> Multigraph:
+    """The graph on the rows' classes in `mask`, numbered in row order."""
+    keep = [v for v in range(len(rows)) if mask >> v & 1]
+    index = {v: i for i, v in enumerate(keep)}
+    return Multigraph(len(keep), tuple(
+        (index[u], index[v]) for u in keep for v, c in rows[u].items()
+        if u < v and v in index for _ in range(c)))
 
 
 def _must_apply(state: _State, step: Step):

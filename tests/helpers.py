@@ -1,11 +1,17 @@
 """Independent oracles used to cross-check the package, implemented from
-first principles without reusing package internals."""
+first principles without reusing package internals, and reference
+versions of searches the package has since sped up."""
 from __future__ import annotations
 
+import copy
 import itertools
 import random
 
-from z3conn.graph import Multigraph
+from z3conn.graph import (Multigraph, find_even_wheel_in,
+                          is_triangularly_connected)
+from z3conn.reducer import (Certificate, Step, _bases_that_fit, _embed_base,
+                            _must_apply, _State, absorb_step, base_step,
+                            two_cycle_step, wheel_step)
 
 
 def naive_boundaries(G: Multigraph) -> set[tuple[int, ...]]:
@@ -135,3 +141,74 @@ def naive_shape(d) -> tuple[str, str | None, int | None]:
     if route is None and n >= 6 and d[n - 6] >= 4:
         route = "T15"
     return ("covered", route, None) if route else ("out_of_coverage", None, None)
+
+
+def certify_outcome(res) -> tuple:
+    """A `CertifyResult` in `ordered_certify`'s form."""
+    return (res.proved, res.certificate.render() if res.proved else None,
+            res.nodes, res.reason)
+
+
+def ordered_certify(G: Multigraph, budget: int) -> tuple:
+    """`certify` as a plain depth-first search over every order of absorbs,
+    as (proved, rendered certificate or None, nodes, reason).
+
+    Every node, above or below the first state without a rule, reads the
+    class rows afresh and tries each rule before it branches; each absorb
+    branch runs on its own copy of the state.  Reuses the package's replay
+    state and rule finders, so it pins only the search order and the
+    budget accounting.
+    """
+    if not G.is_connected():
+        return False, None, 0, "disconnected"
+    counter = budget
+    # open branch points: (steps from the previous one, state, classes
+    # left to absorb, last one on top)
+    frames = []
+    steps, state = [], _State(G)
+    while True:
+        if counter <= 0:
+            return False, None, budget - counter, "budget"
+        counter -= 1
+        names, rows = state.rows()
+        if len(rows) == 1:
+            steps.append(Step("done"))
+            break
+        parallel = min(((i, j) for i, row in enumerate(rows)
+                        for j, c in row.items() if i < j and c >= 2), default=None)
+        nbrs = [set(row) for row in rows]
+        found = None if parallel is not None else find_even_wheel_in(nbrs)
+        step = None
+        if parallel is not None:
+            step = two_cycle_step(names[parallel[0]], names[parallel[1]])
+        elif found is not None:
+            step = wheel_step(names[found[0]], tuple(names[x] for x in found[1]))
+        else:
+            for name in _bases_that_fit(len(nbrs), max(map(len, nbrs))):
+                mapping = _embed_base(name, nbrs)
+                if mapping is not None:
+                    step = base_step(name, tuple(names[x] for x in mapping))
+                    break
+        if step is not None:
+            _must_apply(state, step)
+            steps.append(step)
+            continue
+        degrees = [sum(row.values()) for row in rows]
+        if min(degrees) >= 4 and is_triangularly_connected(state.quotient()[0]):
+            steps.append(Step("triangular"))
+            break
+        frames.append((steps, state,
+                       [names[v] for v, d in enumerate(degrees) if d >= 2][::-1]))
+        while frames and not frames[-1][2]:
+            frames.pop()
+        if not frames:
+            return False, None, budget - counter, "no-rule"
+        _, at, left = frames[-1]
+        v = left.pop()
+        state = copy.copy(at)
+        state.parent, state.label = list(at.parent), list(at.label)
+        state.adj = {r: dict(row) for r, row in at.adj.items()}
+        state.delete_class(v)
+        steps = [absorb_step(v)]
+    cert = Certificate(tuple(s for prefix, _, _ in frames for s in prefix) + tuple(steps))
+    return True, cert.render(), budget - counter, "proved"

@@ -20,6 +20,8 @@ from z3conn.graph import (Multigraph, build_graph, complete_bipartite,
                           complete_graph, cycle_graph)
 from z3conn.reducer import certify
 
+from helpers import certify_outcome, ordered_certify
+
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "certify_corpus.txt"
 BUDGET = 2000
 
@@ -75,6 +77,12 @@ def render_corpus() -> str:
 
 def test_certify_corpus_matches_golden():
     assert render_corpus() == GOLDEN.read_text()
+
+
+def test_certify_matches_ordered_search_on_corpus():
+    for i, (G, budget) in enumerate(corpus()):
+        got = certify_outcome(certify(G, budget=budget))
+        assert got == ordered_certify(G, budget), i
 
 
 if __name__ == "__main__":

@@ -7,15 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from z3conn.catalog import CERTIFIABLE_BASES, base_graph, wheel
-from z3conn.graph import (build_graph, complete_bipartite, complete_graph,
-                          cycle_graph)
+from z3conn.graph import (Multigraph, build_graph, complete_bipartite,
+                          complete_graph, cycle_graph)
 from z3conn.reducer import (Certificate, CertificateError, Step, _apply_step,
                             _State, absorb_step, base_step, certify, lift_step,
                             parse_certificate, replay, two_cycle_step,
                             wheel_step)
 from z3conn.verifier import is_z3_connected
 
-from helpers import naive_z3_connected, random_cubic_graph, random_multigraph
+from helpers import (certify_outcome, naive_z3_connected, ordered_certify,
+                     random_cubic_graph, random_multigraph)
 
 
 def test_render_parse_roundtrip():
@@ -167,6 +168,55 @@ def test_certify_absorb_depth_is_not_bounded_by_recursion_limit():
     assert (res.proved, res.reason, res.nodes) == (False, "budget", 200)
 
 
+def test_certify_rejects_a_negative_budget():
+    with pytest.raises(ValueError, match="budget"):
+        certify(wheel(4), budget=-5)
+
+
+def test_certify_scales_to_a_cubic_graph_with_1000_vertices():
+    # no rule fits a cubic graph, so the whole budget goes to absorbs; a
+    # repeated set of remaining classes is charged from its recorded count,
+    # so the default budget runs out in well under a second
+    G = random_cubic_graph(random.Random(1000), 1000)
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        res = certify(G)
+    finally:
+        sys.setrecursionlimit(old)
+    assert (res.proved, res.reason, res.nodes) == (False, "budget", 20000)
+
+
+@pytest.mark.parametrize("graph", [complete_graph(4), wheel(5),
+                                   complete_bipartite(3, 3)])
+def test_certify_matches_ordered_search_at_every_budget(graph):
+    # cut-offs land on every node of the full search, including inside
+    # subtrees that are charged from their recorded counts
+    full = ordered_certify(graph, 20000)
+    assert full[3] == "no-rule"
+    for budget in range(full[2] + 2):
+        assert certify_outcome(certify(graph, budget)) == ordered_certify(graph, budget)
+
+
+@st.composite
+def small_graphs(draw):
+    """Simple graphs or multigraphs with n <= 11, connected or not."""
+    n = draw(st.integers(2, 11))
+    if draw(st.booleans()):
+        pairs = list(itertools.combinations(range(n), 2))
+        keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        return build_graph(n, [e for e, k in zip(pairs, keep) if k])
+    ends = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 2)),
+                         max_size=3 * n))
+    return Multigraph(n, tuple((u, v + (v >= u)) for u, v in ends))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs(), st.sampled_from([1, 2, 16, 17, 50, 500, 3000]))
+def test_certify_matches_ordered_search(G, budget):
+    assert certify_outcome(certify(G, budget)) == ordered_certify(G, budget)
+
+
 @st.composite
 def simple_graphs(draw):
     n = draw(st.integers(2, 10))
@@ -272,12 +322,9 @@ def test_state_matches_edge_list_model():
                     merges["first_wider"] += 1
                 elif len(nbrs[a]) < len(nbrs[b]):
                     merges["second_wider"] += 1
-            before = state.copy()
-            expected_before = _snapshot(state)
             assert _apply_step(state, Step(kind, args)) is None
             {"contract-2cycle": model.contract, "lift": model.lift,
              "absorb": model.absorb}[kind](*args)
-            assert _snapshot(before) == expected_before
             names, pairs, degrees = _snapshot(state)
             assert names == model.names()
             assert pairs == model.pairs()
