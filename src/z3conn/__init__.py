@@ -1,12 +1,12 @@
 """Realize integer degree sequences as Z3-connected simple graphs, verify
 Z3-connectivity exhaustively, and certify it by sound reductions."""
 
-from .builder import ConstructionError, RealizationResult, realize, realize_family
+from .builder import ConstructionError, RealizationResult, realize
 from .catalog import base_graph, wheel
 from .enumerate import all_realizations, count_isomorphism_classes, verify_exception
-from .graph import (GraphError, Multigraph, build_graph, contract,
-                    find_even_wheel, format_edgelist,
-                    is_triangularly_connected, lift, parse_edgelist, to_dot)
+from .graph import (GraphError, Multigraph, build_graph, find_even_wheel,
+                    format_edgelist, is_triangularly_connected,
+                    parse_edgelist, to_dot)
 from .reducer import Certificate, certify, parse_certificate, replay
 from .seqcore import (Classification, DegreeSequence, Kind, Route, classify,
                       is_graphic, parse_sequence, residual)

@@ -33,14 +33,16 @@ from __future__ import annotations
 import dataclasses
 import heapq
 
+import networkx as nx
+
 from .catalog import base_graph, wheel
 from .enumerate import ENUMERATE_N_MAX, all_realizations
 from .graph import Multigraph
 from .reducer import (Certificate, Step, base_step, certify, lift_step, replay,
                       two_cycle_step, wheel_step)
-from .seqcore import (Classification, DegreeSequence, Kind, Route, classify,
-                      classify_shape, merge_runs, render_runs, residual_runs,
-                      run_entry)
+from .seqcore import (EXCEPTION_KINDS, Classification, DegreeSequence, Kind,
+                      Route, classify, classify_shape, merge_runs,
+                      render_runs, residual_runs, run_entry)
 from .verifier import is_z3_connected
 
 FALLBACK_LIMIT = 10 ** 6
@@ -84,8 +86,7 @@ def realize(seq: DegreeSequence,
     if c.kind == Kind.NOT_GRAPHIC:
         return RealizationResult(seq, c, "not_graphic",
                                  trace=("sequence is not graphic",))
-    if c.kind in (Kind.EXCEPTION_N3, Kind.EXCEPTION_ODD_K,
-                  Kind.EXCEPTION_ODD_K_SQUARE):
+    if c.kind in EXCEPTION_KINDS:
         return RealizationResult(
             seq, c, "exception",
             trace=(f"no Z3-connected realization exists ({c.kind.value})",))
@@ -119,13 +120,6 @@ def realize(seq: DegreeSequence,
         seq, c, "unsupported",
         trace=("out of coverage; fallback search found no "
                "Z3-connected realization within limits",))
-
-
-def realize_family(seq: DegreeSequence, route: Route) -> Multigraph:
-    """The raw construction for a covered route, without verification."""
-    pack = _build(seq, route)
-    _validate(seq, pack.graph)
-    return pack.graph
 
 
 def _validate(seq: DegreeSequence, G: Multigraph):
@@ -612,30 +606,31 @@ def _t15_squared_cycle(n: int, d1: int) -> _Pack:
 
 def _t15_inverse_lift(runs: list[tuple[int, int]], n: int) -> _Pack:
     """(d1, 4^(n-6), 3^5) with odd d1 >= 7: start from the d1 = 5 member
-    and pull (d1-5)/2 disjoint far edges onto the 5-vertex."""
+    and pull (d1-5)/2 disjoint far edges onto the 5-vertex, picked greedily
+    or, where that falls short, from a maximum matching of the far edges."""
     d1 = runs[0][0]
+    need = (d1 - 5) // 2
     sub = _l31_iii(n)
     G = sub.graph
     u = _pick_by_degrees(_degree_heaps(G), [5])[0]
     closed = set(G.neighbors(u)) | {u}
-    picked = []
-    used: set[int] = set(closed)
-    for a, b in G.edges:
-        if a in used or b in used:
-            continue
-        picked.append((a, b))
-        used.add(a)
-        used.add(b)
-        if len(picked) == (d1 - 5) // 2:
-            break
-    if len(picked) < (d1 - 5) // 2:
+    far = [(a, b) for a, b in G.edges if a not in closed and b not in closed]
+    picked, used = [], set()
+    for a, b in far:
+        if len(picked) < need and a not in used and b not in used:
+            picked.append((a, b))
+            used.update((a, b))
+    if len(picked) < need:
+        matched = {frozenset(e) for e in nx.max_weight_matching(
+            nx.Graph(far), maxcardinality=True)}
+        picked = [e for e in far if frozenset(e) in matched][:need]
+    if len(picked) < need:
         raise ConstructionError(
             f"not enough disjoint edges away from the 5-vertex in "
             f"{render_runs(runs)}")
-    edges = list(G.edges)
-    for a, b in picked:
-        edges.remove((a, b))
-        edges += [(u, a), (u, b)]
+    dropped = set(picked)
+    edges = [e for e in G.edges if e not in dropped]
+    edges += [(u, x) for e in picked for x in e]
     steps = [lift_step(u, a, b) for a, b in picked] + sub.steps
     return _Pack(Multigraph(n, tuple(edges)), steps,
                  [f"inverse lifts of {len(picked)} edges onto the 5-vertex"]

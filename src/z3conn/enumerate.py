@@ -18,7 +18,7 @@ from typing import Iterator
 import networkx as nx
 
 from .graph import Multigraph
-from .seqcore import DegreeSequence, Kind, classify, is_graphic
+from .seqcore import EXCEPTION_KINDS, DegreeSequence, classify, is_graphic
 from .verifier import DEFAULT_CAP, is_z3_connected
 
 ENUMERATE_N_MAX = 12
@@ -100,8 +100,7 @@ def verify_exception(seq: DegreeSequence, cap: int = DEFAULT_CAP) -> bool:
     anything else raises.
     """
     c = classify(seq)
-    if c.kind not in (Kind.EXCEPTION_N3, Kind.EXCEPTION_ODD_K,
-                      Kind.EXCEPTION_ODD_K_SQUARE):
+    if c.kind not in EXCEPTION_KINDS:
         raise ValueError(f"{seq.render()} is not in an exception family")
     for G in all_realizations(seq, dedup=True):
         if is_z3_connected(G, cap):

@@ -1,7 +1,8 @@
-"""Undirected multigraphs on vertices 0..n-1 and the operations used by the
-realization builder and the reduction certifier: contraction, lifting,
-even-wheel detection, triangular connectivity, and edge-list / DOT
-serialization.
+"""Undirected multigraphs on vertices 0..n-1, the even-wheel and
+triangular-connectivity checks the reduction certifier runs, and
+edge-list / DOT serialization.  The reduction rules themselves, lifting
+and contraction, act on the certifier's class map (`reducer._State`),
+not on this type.
 
 Edges are stored as an ordered tuple of (tail, head) pairs; the pair order
 is only a reference orientation, the graph is undirected.  Parallel edges
@@ -53,9 +54,6 @@ class Multigraph:
     def edge_multiplicity(self, u: int, v: int) -> int:
         return sum(1 for a, b in self.edges if {a, b} == {u, v})
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return self.edge_multiplicity(u, v) > 0
-
     def neighbors(self, v: int) -> list[int]:
         """Distinct neighbors of v, ascending."""
         out = set()
@@ -103,44 +101,6 @@ class Multigraph:
 
 def build_graph(n: int, edges) -> Multigraph:
     return Multigraph(n, tuple((int(u), int(v)) for u, v in edges))
-
-
-def contract(G: Multigraph, block) -> tuple[Multigraph, list[int]]:
-    """Merge the vertex set `block` into one vertex; drop internal edges.
-
-    Returns the contracted graph and the old-to-new label mapping.  The
-    merged vertex takes the position of min(block); other vertices keep
-    their relative order.
-    """
-    block = set(block)
-    if not block or not block <= set(range(G.n)):
-        raise GraphError("contraction block must be a nonempty vertex subset")
-    rep = min(block)
-    kept = sorted((set(range(G.n)) - block) | {rep})
-    index = {v: i for i, v in enumerate(kept)}
-    mapping = [index[rep] if v in block else index[v] for v in range(G.n)]
-    edges = []
-    for u, v in G.edges:
-        mu, mv = mapping[u], mapping[v]
-        if mu != mv:
-            edges.append((mu, mv))
-    return Multigraph(len(kept), tuple(edges)), mapping
-
-
-def lift(G: Multigraph, u: int, v: int, w: int) -> Multigraph:
-    """Lift at u: remove one edge uv and one edge uw, add edge vw.
-
-    Requires v != w and both edges present.  Vertex labels are unchanged.
-    """
-    if v == w:
-        raise GraphError("lift endpoints must be distinct")
-    if not (G.has_edge(u, v) and G.has_edge(u, w)):
-        raise GraphError(f"lift needs edges ({u},{v}) and ({u},{w})")
-    edges = list(G.edges)
-    for a, b in ((u, v), (u, w)):
-        edges.remove(next(e for e in edges if {e[0], e[1]} == {a, b}))
-    edges.append((v, w))
-    return Multigraph(G.n, tuple(edges))
 
 
 def find_even_wheel(G: Multigraph, max_rim: int = 8) -> tuple[int, tuple[int, ...]] | None:

@@ -35,13 +35,27 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+from collections import Counter
 
-from .catalog import CERTIFIABLE_BASES, base_graph
+from .catalog import CERTIFIABLE_BASES, base_graph, wheel
 from .graph import Multigraph, find_even_wheel_in, is_triangularly_connected
 
 
 class CertificateError(ValueError):
     """Malformed certificate text."""
+
+
+# Each step kind's arguments, in order: "v" a vertex, "n" a base name.  A
+# trailing "+" takes the rest of the line as one tuple of vertices.
+_ARGS = {
+    "lift": "vvv",
+    "contract-2cycle": "vv",
+    "contract-even-wheel": "v+",
+    "contract-base": "n+",
+    "absorb": "v",
+    "triangular": "",
+    "done": "",
+}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -50,21 +64,14 @@ class Step:
     args: tuple = ()
 
     def render(self) -> str:
-        if self.kind == "lift":
-            return "lift {} {} {}".format(*self.args)
-        if self.kind == "contract-2cycle":
-            return "contract-2cycle {} {}".format(*self.args)
-        if self.kind == "contract-even-wheel":
-            center, rim = self.args
-            return "contract-even-wheel {} {}".format(center, " ".join(map(str, rim)))
-        if self.kind == "contract-base":
-            name, vertices = self.args
-            return "contract-base {} {}".format(name, " ".join(map(str, vertices)))
-        if self.kind == "absorb":
-            return "absorb {}".format(self.args[0])
-        if self.kind in ("triangular", "done"):
-            return self.kind
-        raise CertificateError(f"unknown step kind {self.kind!r}")
+        spec = _ARGS.get(self.kind)
+        if spec is None:
+            raise CertificateError(f"unknown step kind {self.kind!r}")
+        head = spec.rstrip("+")
+        words = [self.kind, *self.args[:len(head)]]
+        if spec != head:
+            words += self.args[len(head)]
+        return " ".join(map(str, words))
 
 
 def lift_step(u, v, w) -> Step:
@@ -101,27 +108,22 @@ def parse_certificate(text: str) -> Certificate:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split()
-        kind, rest = parts[0], parts[1:]
+        kind, *rest = line.split()
         try:
-            if kind == "lift":
-                steps.append(lift_step(*map(int, rest)))
-            elif kind == "contract-2cycle":
-                steps.append(two_cycle_step(*map(int, rest)))
-            elif kind == "contract-even-wheel":
-                steps.append(wheel_step(int(rest[0]), tuple(map(int, rest[1:]))))
-            elif kind == "contract-base":
-                steps.append(base_step(rest[0], tuple(map(int, rest[1:]))))
-            elif kind == "absorb":
-                steps.append(absorb_step(int(rest[0])))
-            elif kind in ("triangular", "done"):
-                if rest:
-                    raise ValueError("unexpected arguments")
-                steps.append(Step(kind))
-            else:
+            spec = _ARGS.get(kind)
+            if spec is None:
                 raise ValueError(f"unknown step {kind!r}")
-        except (ValueError, TypeError, IndexError) as exc:
+            head = spec.rstrip("+")
+            more = spec != head
+            if len(rest) < len(head) or len(rest) > len(head) and not more:
+                raise ValueError(f"{kind} got {len(rest)} arguments, expects "
+                                 f"{len(head)}{' or more' * more}")
+            args = [w if form == "n" else int(w) for form, w in zip(head, rest)]
+            if more:
+                args.append(tuple(map(int, rest[len(head):])))
+        except ValueError as exc:
             raise CertificateError(f"line {lineno}: {exc}") from None
+        steps.append(Step(kind, tuple(args)))
     if not steps:
         raise CertificateError("empty certificate")
     return Certificate(tuple(steps))
@@ -222,50 +224,21 @@ def _apply_step(state: _State, step: Step) -> str | None:
     """Apply one step, validating preconditions; returns an error or None."""
     if step.kind == "lift":
         u, v, w = step.args
-        for x in (u, v, w):
-            if not state.valid_vertex(x):
-                return f"vertex {x} invalid"
-        ru, rv, rw = state.find(u), state.find(v), state.find(w)
-        if rv == rw or ru in (rv, rw):
-            return "lift endpoints must be three distinct classes"
-        deg = state.degree(u)
-        if deg < 4:
-            return f"lift center has degree {deg} < 4"
-        if state.multiplicity(u, v) < 1 or state.multiplicity(u, w) < 1:
-            return "lift edges missing"
-        state.lift(u, v, w)
-        return None
+        err = _check(state, step.args, _LIFT, "lift")
+        if err is None and state.degree(u) < 4:
+            err = f"lift center has degree {state.degree(u)} < 4"
+        if err is None:
+            state.lift(u, v, w)
+        return err
     if step.kind == "contract-2cycle":
         u, v = step.args
-        if not (state.valid_vertex(u) and state.valid_vertex(v)):
-            return "vertex invalid"
-        if state.find(u) == state.find(v):
-            return "vertices already merged"
-        if state.multiplicity(u, v) < 2:
-            return "need two parallel edges"
-        state.merge(u, v)
-        return None
+        return _contract(state, (u, v), _TWO_CYCLE, "parallel")
     if step.kind == "contract-even-wheel":
         center, rim = step.args
-        vertices = (center, *rim)
         if len(rim) < 4 or len(rim) % 2 != 0:
             return "rim must have even length >= 4"
-        reps = []
-        for x in vertices:
-            if not state.valid_vertex(x):
-                return f"vertex {x} invalid"
-            reps.append(state.find(x))
-        if len(set(reps)) != len(reps):
-            return "wheel vertices must be distinct classes"
-        for r in rim:
-            if state.multiplicity(center, r) < 1:
-                return f"missing spoke to {r}"
-        for a, b in zip(rim, rim[1:] + (rim[0],)):
-            if state.multiplicity(a, b) < 1:
-                return f"missing rim edge ({a},{b})"
-        for x in rim:
-            state.merge(center, x)
-        return None
+        return _contract(state, (center, *rim),
+                         Counter(wheel(len(rim)).edges), "spoke or rim")
     if step.kind == "contract-base":
         name, vertices = step.args
         if name not in CERTIFIABLE_BASES:
@@ -273,19 +246,7 @@ def _apply_step(state: _State, step: Step) -> str | None:
         base = base_graph(name)
         if len(vertices) != base.n:
             return f"base {name} needs {base.n} vertices"
-        reps = []
-        for x in vertices:
-            if not state.valid_vertex(x):
-                return f"vertex {x} invalid"
-            reps.append(state.find(x))
-        if len(set(reps)) != len(reps):
-            return "base vertices must be distinct classes"
-        for a, b in base.edges:
-            if state.multiplicity(vertices[a], vertices[b]) < 1:
-                return f"missing base edge ({vertices[a]},{vertices[b]})"
-        for x in vertices[1:]:
-            state.merge(vertices[0], x)
-        return None
+        return _contract(state, vertices, Counter(base.edges), "base")
     if step.kind == "absorb":
         (v,) = step.args
         if not state.valid_vertex(v):
@@ -309,6 +270,40 @@ def _apply_step(state: _State, step: Step) -> str | None:
             return "more than one class remains"
         return None
     return f"unknown step kind {step.kind!r}"
+
+
+# The edges a lift u v w needs, uv and uw, and the pattern a 2-cycle
+# contracts, K2 taken twice, as edge -> multiplicity maps.
+_LIFT = {(0, 1): 1, (0, 2): 1}
+_TWO_CYCLE = {(0, 1): 2}
+
+
+def _check(state: _State, vertices, pattern: dict[tuple[int, int], int],
+           what: str) -> str | None:
+    """An error unless `vertices` name distinct live classes and, for each
+    edge (a, b) of `pattern`, the classes of vertices[a] and vertices[b]
+    share at least pattern[a, b] edges; a missing one is named a `what`
+    edge."""
+    for x in vertices:
+        if not state.valid_vertex(x):
+            return f"vertex {x} invalid"
+    if len({state.find(x) for x in vertices}) != len(vertices):
+        return "step vertices must be distinct classes"
+    for (a, b), need in pattern.items():
+        if state.multiplicity(vertices[a], vertices[b]) < need:
+            return f"missing {what} edge ({vertices[a]},{vertices[b]})"
+    return None
+
+
+def _contract(state: _State, vertices, pattern: dict[tuple[int, int], int],
+              what: str) -> str | None:
+    """Merge the classes of `vertices` into one, named after the last,
+    once they hold `pattern`, a Z3-connected graph on 0..k-1."""
+    err = _check(state, vertices, pattern, what)
+    if err is None:
+        for x in vertices[1:]:
+            state.merge(vertices[0], x)
+    return err
 
 
 @dataclasses.dataclass(frozen=True)

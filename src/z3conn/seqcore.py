@@ -217,6 +217,11 @@ class Kind(str, enum.Enum):
     OUT_OF_COVERAGE = "out_of_coverage"
 
 
+# The exception families: graphic, but no Z3-connected realization.
+EXCEPTION_KINDS = frozenset({Kind.EXCEPTION_N3, Kind.EXCEPTION_ODD_K,
+                             Kind.EXCEPTION_ODD_K_SQUARE})
+
+
 class Route(str, enum.Enum):
     """Which construction family a covered sequence is handled by."""
 

@@ -24,8 +24,9 @@ from z3conn.catalog import base_graph, wheel
 from z3conn.cli import main as cli_main
 from z3conn.enumerate import all_realizations, verify_exception
 from z3conn.graph import (Multigraph, build_graph, complete_bipartite,
-                          complete_graph, contract, cycle_graph, lift)
-from z3conn.reducer import replay
+                          complete_graph, cycle_graph)
+from z3conn.reducer import (_apply_step, _State, lift_step, replay,
+                            two_cycle_step)
 from z3conn.seqcore import classify, parse_sequence
 from z3conn.verifier import (has_modular_3_orientation, is_3_flowable,
                              is_z3_connected, reachable_boundaries)
@@ -136,6 +137,12 @@ def test_criterion_6_oracle_equivalence():
 def test_criterion_7_closure_rule_properties():
     rng = random.Random(424)
 
+    def reduced(G, step):
+        """G after `step`, applied by the code that replays certificates."""
+        state = _State(G)
+        assert _apply_step(state, step) is None
+        return state.quotient()[0]
+
     # lifting: Z3-connectivity of the lifted graph implies the original
     done = 0
     while done < 100:
@@ -147,7 +154,7 @@ def test_criterion_7_closure_rule_properties():
         if not triples:
             continue
         u, v, w = triples[rng.randrange(len(triples))]
-        if is_z3_connected(lift(G, u, v, w)):
+        if is_z3_connected(reduced(G, lift_step(u, v, w))):
             assert is_z3_connected(G)
         done += 1
 
@@ -161,7 +168,8 @@ def test_criterion_7_closure_rule_properties():
         if not pairs:
             continue
         u, v = pairs[rng.randrange(len(pairs))]
-        H, _ = contract(G, {u, v})
+        H = reduced(G, two_cycle_step(u, v))
+        assert H.n == G.n - 1
         assert is_z3_connected(G) == is_z3_connected(H)
         done += 1
 

@@ -4,10 +4,9 @@ import pytest
 
 from z3conn.catalog import base_graph, wheel
 from z3conn.graph import (GraphError, Multigraph, build_graph,
-                          complete_bipartite, complete_graph, contract,
-                          cycle_graph, find_even_wheel, format_edgelist,
-                          is_triangularly_connected, lift, parse_edgelist,
-                          to_dot)
+                          complete_bipartite, complete_graph, cycle_graph,
+                          find_even_wheel, format_edgelist,
+                          is_triangularly_connected, parse_edgelist, to_dot)
 
 from helpers import random_multigraph
 
@@ -36,35 +35,6 @@ def test_connectivity():
     assert complete_graph(4).is_connected()
     assert not build_graph(3, [(0, 1)]).is_connected()
     assert build_graph(1, []).is_connected()
-
-
-def test_contract_merges_and_drops_internal_edges():
-    G = wheel(4)
-    H, mapping = contract(G, {1, 2, 3, 4})
-    assert H.n == 2
-    # all four spokes survive as parallel edges
-    assert H.m == 4
-    assert H.edge_multiplicity(mapping[0], mapping[1]) == 4
-
-
-def test_contract_mapping_is_order_preserving():
-    G = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-    H, mapping = contract(G, {1, 3})
-    assert H.n == 4
-    assert mapping == [0, 1, 2, 1, 3]
-    assert H.degree(1) == 4
-
-
-def test_lift_rewires_two_edges():
-    G = complete_graph(5)
-    H = lift(G, 0, 1, 2)
-    assert H.degree(0) == 2
-    assert H.edge_multiplicity(1, 2) == 2
-    assert H.m == G.m - 1
-    with pytest.raises(GraphError):
-        lift(G, 0, 1, 1)
-    with pytest.raises(GraphError):
-        lift(build_graph(3, [(0, 1)]), 0, 1, 2)
 
 
 def test_find_even_wheel_in_wheels():

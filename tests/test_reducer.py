@@ -38,7 +38,7 @@ def test_parse_skips_comments_and_blanks():
 
 @pytest.mark.parametrize("text", [
     "", "# only a comment\n", "frobnicate 1\ndone",
-    "lift 1 2\ndone", "absorb x\ndone", "done extra",
+    "lift 1 2\ndone", "absorb x\ndone", "done extra", "absorb 1 2 3\ndone",
 ])
 def test_parse_rejects_malformed(text):
     with pytest.raises(CertificateError):
