@@ -10,7 +10,8 @@ Each covered sequence is built by one of four routes keyed on d1:
     (n-3,d2,3^(n-2)) and (n-3,4^2,3^(n-3)) shapes.
   T15 (d1 <= n-4): a residual step, the (4^(n-4),3^4) gluing family,
     the (d1,4^(n-5),3^4) wheel gadgets (including a squared-cycle piece),
-    and the (d1,4^(n-6),3^5) family built by inverse lifts from d1 = 5.
+    and the (d1,4^(n-6),3^5) family built by inverse lifts from d1 = 5,
+    whose far edges come from a scan in edge order plus augmenting paths.
 
 A residual step deletes the smallest degree (see seqcore.residual).  The
 builder loops: it peels residual steps until some route builds the rest
@@ -32,8 +33,6 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
-
-import networkx as nx
 
 from .catalog import base_graph, wheel
 from .enumerate import ENUMERATE_N_MAX, all_realizations
@@ -73,14 +72,13 @@ class RealizationResult:
     trace: tuple[str, ...] = ()
 
 
-def realize(seq: DegreeSequence,
-            allow_fallback: bool = True) -> RealizationResult:
+def realize(seq: DegreeSequence) -> RealizationResult:
     """Realize a degree sequence as a Z3-connected simple graph.
 
     Covered sequences always succeed with a certificate that replays (a
     failure is a bug and raises).  Out-of-coverage sequences get a bounded
-    enumeration search when allow_fallback is set; exhaustion yields
-    status "unsupported", never a wrong negative.
+    enumeration search; exhaustion yields status "unsupported", never a
+    wrong negative.
     """
     c = classify(seq)
     if c.kind == Kind.NOT_GRAPHIC:
@@ -101,7 +99,7 @@ def realize(seq: DegreeSequence,
                 f"{rr.message}")
         return RealizationResult(seq, c, "realized", pack.graph, cert,
                                  "certificate", tuple(pack.trace))
-    if not (allow_fallback and seq.n <= ENUMERATE_N_MAX):
+    if seq.n > ENUMERATE_N_MAX:
         return RealizationResult(
             seq, c, "unsupported",
             trace=("out of coverage and beyond fallback search size",))
@@ -606,24 +604,14 @@ def _t15_squared_cycle(n: int, d1: int) -> _Pack:
 
 def _t15_inverse_lift(runs: list[tuple[int, int]], n: int) -> _Pack:
     """(d1, 4^(n-6), 3^5) with odd d1 >= 7: start from the d1 = 5 member
-    and pull (d1-5)/2 disjoint far edges onto the 5-vertex, picked greedily
-    or, where that falls short, from a maximum matching of the far edges."""
-    d1 = runs[0][0]
-    need = (d1 - 5) // 2
+    and pull (d1-5)/2 disjoint far edges onto the 5-vertex."""
+    need = (runs[0][0] - 5) // 2
     sub = _l31_iii(n)
     G = sub.graph
     u = _pick_by_degrees(_degree_heaps(G), [5])[0]
-    closed = set(G.neighbors(u)) | {u}
+    closed = G.neighbor_sets()[u] | {u}
     far = [(a, b) for a, b in G.edges if a not in closed and b not in closed]
-    picked, used = [], set()
-    for a, b in far:
-        if len(picked) < need and a not in used and b not in used:
-            picked.append((a, b))
-            used.update((a, b))
-    if len(picked) < need:
-        matched = {frozenset(e) for e in nx.max_weight_matching(
-            nx.Graph(far), maxcardinality=True)}
-        picked = [e for e in far if frozenset(e) in matched][:need]
+    picked = _disjoint_edges(far, need)
     if len(picked) < need:
         raise ConstructionError(
             f"not enough disjoint edges away from the 5-vertex in "
@@ -635,6 +623,47 @@ def _t15_inverse_lift(runs: list[tuple[int, int]], n: int) -> _Pack:
     return _Pack(Multigraph(n, tuple(edges)), steps,
                  [f"inverse lifts of {len(picked)} edges onto the 5-vertex"]
                  + sub.trace)
+
+
+def _disjoint_edges(edges: list[tuple[int, int]],
+                    need: int) -> list[tuple[int, int]]:
+    """Up to `need` disjoint edges of a simple graph, in edge order.
+
+    A scan in edge order takes each edge that fits.  While that falls
+    short, each phase grows the matching along augmenting paths, found by
+    iterative depth-first searches from the unmatched vertices that share
+    one visited set, so a phase costs O(m).  Blossoms are not shrunk, so a
+    path may be missed; the search ends when a phase finds none.
+    """
+    mate: dict[int, int] = {}
+    adj: dict[int, list[int]] = {}
+    for a, b in edges:
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+        if len(mate) < 2 * need and a not in mate and b not in mate:
+            mate[a], mate[b] = b, a
+    size = -1
+    while size < len(mate) < 2 * need:
+        size, seen = len(mate), set()
+        for r in [v for v in adj if v not in mate]:
+            if r in seen or len(mate) == 2 * need:
+                continue
+            seen.add(r)
+            stack = [(r, iter(adj[r]), None)]  # vertex, unread nbrs, mate
+            while stack:
+                y = next((y for y in stack[-1][1] if y not in seen), None)
+                if y is None:
+                    stack.pop()
+                elif y in mate:
+                    seen.update((y, mate[y]))
+                    stack.append((mate[y], iter(adj[mate[y]]), y))
+                else:
+                    seen.add(y)
+                    for x, _, via in reversed(stack):  # flip the path r..x-y
+                        mate[x], mate[y] = y, x
+                        y = via
+                    break
+    return [(a, b) for a, b in edges if mate.get(a) == b]
 
 
 # Trace note for each route's residual step, keyed by the route taking it.

@@ -120,10 +120,8 @@ def _cmd_realize(args) -> int:
         for line in r.trace:
             print(f"# {line}")
         print(f"# proof: {r.proof}")
-        if args.format == "dot":
-            sys.stdout.write(to_dot(r.graph))
-        else:
-            sys.stdout.write(format_edgelist(r.graph))
+        sys.stdout.write((to_dot if args.format == "dot"
+                          else format_edgelist)(r.graph))
     if args.certify and r.certificate is not None:
         print("# certificate:")
         sys.stdout.write(r.certificate.render())

@@ -8,14 +8,12 @@ exactly once.  The vertex count is capped because the space is enormous.
 
 Deduplication buckets graphs by Weisfeiler-Lehman hash and confirms a
 repeat with an exact isomorphism test, so the first graph enumerated in
-each isomorphism class is the one kept.
+each isomorphism class is the one kept; only it imports networkx.
 """
 from __future__ import annotations
 
 import itertools
 from typing import Iterator
-
-import networkx as nx
 
 from .graph import Multigraph
 from .seqcore import EXCEPTION_KINDS, DegreeSequence, classify, is_graphic
@@ -45,7 +43,7 @@ def all_realizations(seq: DegreeSequence, limit: int | None = None,
     graphs = (Multigraph(n, tuple(edges))
               for edges in _assign(list(seq.degrees), 0, []))
     if dedup:
-        seen: dict[str, list[nx.Graph]] = {}
+        seen: dict[str, list] = {}
         graphs = (G for G in graphs if _is_new(G, seen))
     return itertools.islice(graphs, limit)
 
@@ -73,8 +71,9 @@ def _assign(deg: list[int], v: int, edges: list) -> Iterator[list]:
         deg[v] = r
 
 
-def _is_new(G: Multigraph, seen: dict[str, list[nx.Graph]]) -> bool:
+def _is_new(G: Multigraph, seen: dict[str, list]) -> bool:
     """Whether G is isomorphic to no graph in `seen`; if so, record it."""
+    import networkx as nx  # only deduplication needs it
     H = nx.Graph()
     # explicit degree labels: without any label networkx warns on every
     # process's first hash that its unlabeled hashes changed in v3.5

@@ -56,13 +56,7 @@ class Multigraph:
 
     def neighbors(self, v: int) -> list[int]:
         """Distinct neighbors of v, ascending."""
-        out = set()
-        for a, b in self.edges:
-            if a == v:
-                out.add(b)
-            elif b == v:
-                out.add(a)
-        return sorted(out)
+        return sorted(self.neighbor_sets()[v])
 
     def neighbor_sets(self) -> list[set[int]]:
         """Each vertex's set of distinct neighbors."""
@@ -73,29 +67,14 @@ class Multigraph:
         return out
 
     def is_simple(self) -> bool:
-        seen = set()
-        for u, v in self.edges:
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                return False
-            seen.add(key)
-        return True
+        return len({(min(e), max(e)) for e in self.edges}) == self.m
 
     def is_connected(self) -> bool:
-        if self.n == 1:
-            return True
-        adj = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        seen = {0}
-        stack = [0]
+        nbrs, seen, stack = self.neighbor_sets(), {0}, [0]
         while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
+            for y in nbrs[stack.pop()] - seen:
+                seen.add(y)
+                stack.append(y)
         return len(seen) == self.n
 
 
@@ -221,19 +200,12 @@ def parse_edgelist(text: str) -> Multigraph:
 
 
 def format_edgelist(G: Multigraph) -> str:
-    lines = [f"{G.n} {G.m}"]
-    lines.extend(f"{u} {v}" for u, v in G.edges)
-    return "\n".join(lines) + "\n"
+    return "".join([f"{G.n} {G.m}\n", *(f"{u} {v}\n" for u, v in G.edges)])
 
 
 def to_dot(G: Multigraph, name: str = "G") -> str:
-    lines = [f"graph {name} {{"]
-    for v in range(G.n):
-        lines.append(f"  {v};")
-    for u, v in G.edges:
-        lines.append(f"  {u} -- {v};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return "".join([f"graph {name} {{\n", *(f"  {v};\n" for v in range(G.n)),
+                    *(f"  {u} -- {v};\n" for u, v in G.edges), "}\n"])
 
 
 def complete_graph(n: int) -> Multigraph:

@@ -11,16 +11,14 @@ a time and track which boundaries are hit.  Every boundary sums to 0 mod 3,
 so the last vertex's value is fixed by the others and the state set is a
 Python int bitset: bit i flags the zero-sum boundary with flat index i
 (vertex p < n-1 has stride 3^(n-2-p)).  Each edge is a few shift-and-mask
-operations against digit masks cached once per n; no numpy arrays.  Yes/no
-answers stop early once the set is full; only `solve_boundary` keeps one
-int per edge, for its witness.  Calls are capped (default n <= 14).
+operations against digit masks cached once per n.  Yes/no answers stop
+early once the set is full; only `solve_boundary` keeps one int per edge,
+for its witness.  Calls are capped (default n <= 14).
 """
 from __future__ import annotations
 
 import dataclasses
 import functools
-
-import numpy as np
 
 from .graph import Multigraph
 
@@ -128,21 +126,29 @@ def _reach(G: Multigraph) -> int:
     return S
 
 
-def reachable_boundaries(G: Multigraph, cap: int = DEFAULT_CAP) -> np.ndarray:
-    """Boolean array over Z3^n marking every achievable flow boundary."""
+@dataclasses.dataclass(frozen=True)
+class ReachableBoundaries:
+    """The achievable flow boundaries of an n-vertex graph: `reach[b]`
+    says whether the boundary tuple b over Z3^n is one of them."""
+    n: int
+    flags: int  # bit i: the zero-sum boundary with flat index i
+
+    def __getitem__(self, b: tuple[int, ...]) -> bool:
+        if len(b) != self.n or not set(b) <= {0, 1, 2}:
+            raise IndexError(f"not a boundary over Z3^{self.n}: {b}")
+        return sum(b) % 3 == 0 and bool(self.flags >> _flat(b) & 1)
+
+
+def _flat(b) -> int:
+    """Flat index of a zero-sum boundary; vertex n-1 has no digit."""
+    return sum(t * 3 ** (len(b) - 2 - p) for p, t in enumerate(b[:-1]))
+
+
+def reachable_boundaries(G: Multigraph,
+                         cap: int = DEFAULT_CAP) -> ReachableBoundaries:
+    """Every achievable flow boundary of G, indexed by boundary tuple."""
     _check_cap(G, cap)
-    size = 3 ** (G.n - 1)
-    flags = np.frombuffer(_reach(G).to_bytes(-(-size // 8), "little"),
-                          dtype=np.uint8)
-    reach = np.unpackbits(flags, count=size, bitorder="little").astype(bool)
-    # the last value of zero-sum state (b_0..b_(n-2)) is -(b_0+...+b_(n-2))
-    last = np.zeros(1, dtype=np.int8)
-    for _ in range(G.n - 1):
-        last = ((last[:, None] - np.arange(3, dtype=np.int8)) % 3).ravel()
-    grid = np.zeros((size, 3), dtype=bool)
-    for r in range(3):
-        grid[:, r] = reach & (last == r)
-    return grid.reshape((3,) * G.n)
+    return ReachableBoundaries(G.n, _reach(G))
 
 
 def is_z3_connected(G: Multigraph, cap: int = DEFAULT_CAP) -> bool:
@@ -172,14 +178,8 @@ def solve_boundary(G: Multigraph, b: ZeroSumFunction,
     layers = [1]
     for u, v in G.edges:
         layers.append(_step(layers[-1], masks, u, v))
-    # flat index of a boundary; vertex n-1 has no digit
-    stride = [s for s, _ in masks] + [0]
-
-    def reached(layer, state):
-        return layer >> sum(s * t for s, t in zip(state, stride)) & 1
-
     state = list(b.values)
-    if not reached(layers[-1], state):
+    if not layers[-1] >> _flat(state) & 1:
         return None
     values = [0] * G.m
     for i in reversed(range(G.m)):
@@ -188,7 +188,7 @@ def solve_boundary(G: Multigraph, b: ZeroSumFunction,
             cand = list(state)
             cand[u] = (cand[u] - a) % 3
             cand[v] = (cand[v] + a) % 3
-            if reached(layers[i], cand):
+            if layers[i] >> _flat(cand) & 1:
                 break
         else:
             raise RuntimeError("witness reconstruction failed")

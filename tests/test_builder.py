@@ -1,9 +1,11 @@
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import z3conn.builder
 import z3conn.seqcore
-from z3conn.builder import ConstructionError, realize
+from z3conn.builder import ConstructionError, _disjoint_edges, realize
 from z3conn.reducer import parse_certificate, replay
 from z3conn.seqcore import (Classification, DegreeSequence, Kind, Route,
                             classify, parse_sequence)
@@ -150,9 +152,9 @@ def test_covered_sequences_need_no_search_or_oracle(monkeypatch):
 
 
 def test_inverse_lift_family_is_realized():
-    # (d1, 4^(n-6), 3^5): for odd d1 >= 17 close to n-4 the greedy pick of
-    # far edges comes up short, first at (17,4^15,3^5), and the builder
-    # takes them from a maximum matching instead
+    # (d1, 4^(n-6), 3^5): for odd d1 >= 17 close to n-4 the scan for far
+    # edges in edge order comes up short, first at (17,4^15,3^5), and the
+    # builder grows its matching along augmenting paths instead
     checked = 0
     for n in range(7, 41):
         for d1 in range(5, n, 2):
@@ -162,6 +164,38 @@ def test_inverse_lift_family_is_realized():
                 assert replay(res.graph, res.certificate).ok, seq.render()
                 checked += 1
     assert checked == 323
+
+
+def test_inverse_lift_at_n_3001_under_default_recursion_limit():
+    # d1 = n-4 needs 1496 far edges, 37 more than the scan finds, so the
+    # augmenting-path search runs; it must not recurse along a path
+    seq = parse_sequence("(2997,4^2995,3^5)")
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        res = realize(seq)
+        assert replay(res.graph, res.certificate).ok
+    finally:
+        sys.setrecursionlimit(old)
+    assert res.graph.degree_sequence() == seq
+
+
+def test_disjoint_edges_augment_along_long_paths():
+    # on a path 0-1-...-(2k+1) with its inner edges first, the scan takes
+    # the k inner edges; the one augmenting path runs the whole length
+    k = 5000
+    inner = [(i, i + 1) for i in range(1, 2 * k, 2)]
+    outer = [(i, i + 1) for i in range(0, 2 * k + 1, 2)]
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        assert _disjoint_edges(inner + outer, k) == inner
+        assert _disjoint_edges(inner + outer, k + 1) == outer
+        assert _disjoint_edges(inner + outer, k + 2) == outer
+    finally:
+        sys.setrecursionlimit(old)
+    # a triangle has no two disjoint edges
+    assert _disjoint_edges([(0, 1), (1, 2), (0, 2)], 2) == [(0, 1)]
 
 
 def test_built_certificates_parse_back():
@@ -190,12 +224,9 @@ def test_out_of_coverage_fallback_exhaustion():
         assert res.status == "unsupported"
 
 
-def test_out_of_coverage_size_and_opt_out():
+def test_out_of_coverage_beyond_search_size():
     # too large for the fallback search
     assert run("(4,4,3^12)").status == "unsupported"
-    # fallback can be disabled
-    off = realize(parse_sequence("(4^5,2)"), allow_fallback=False)
-    assert off.status == "unsupported"
 
 
 def test_determinism():

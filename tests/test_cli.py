@@ -1,7 +1,10 @@
 import hashlib
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -72,9 +75,12 @@ def test_realize_edgelist_roundtrips_through_verify(tmp_path):
     assert "z3_connected=true" in out
 
 
-# SHA-256 of `realize --certify` output for inputs whose residual loop runs
-# hundreds of steps through long runs (the T14 one lands in T12 at n = 30),
-# recorded from the tuple-based residual loop that the run form replaced.
+# SHA-256 of `realize --certify` output, each recorded before the code it
+# pins was replaced.  The first three pin residual loops that run hundreds
+# of steps through long runs (the T14 one lands in T12 at n = 30), from the
+# tuple-based loop that the run form replaced.  (15,4^20,3^5) pins an
+# inverse lift whose 5 far edges the scan in edge order finds on its own,
+# from before augmenting paths took over where the scan falls short.
 LONG_RUN_SHA256 = {
     "(999,4^600,3^399)":
         "e3864a470ef5ddc2f232443cfb03bfe2a98ec6204bc8a07fb1ad470c1712ae66",
@@ -82,6 +88,8 @@ LONG_RUN_SHA256 = {
         "06a91cb6bb94693586ce52a5a1eb1e4ebfc5441e93d0c1a9a5033722600dc53d",
     "(77,76,74,55,46,42,6^19,5^16,4^29,3^10)":
         "856cad4e41d656be1296d54abe84680f2be6ead74c9ea5e46c38fb4de9917936",
+    "(15,4^20,3^5)":
+        "59e4da29fe66651b7b03436cc65884608ef11d048ec345fbb0c7fa075de87f0d",
 }
 
 
@@ -90,6 +98,16 @@ def test_realize_long_runs_match_pinned_bytes(text):
     code, out, _ = run_cli("realize", "--certify", text)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == LONG_RUN_SHA256[text]
+
+
+def test_import_loads_neither_numpy_nor_networkx():
+    code = ("import sys, z3conn; "
+            "print(sorted({'numpy', 'networkx'} & set(sys.modules)))")
+    src = str(pathlib.Path(__file__).parent.parent / "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out == "[]\n"
 
 
 def test_realize_json_and_dot():

@@ -2,7 +2,6 @@ import itertools
 import random
 import tracemalloc
 
-import numpy as np
 import pytest
 
 from z3conn import verifier
@@ -178,9 +177,15 @@ def test_digit_masks_at_large_n_match_naive():
             rng.shuffle(edges)
             G = Multigraph(n, tuple(edges))
             reach = naive_boundaries(G)
-            flat = np.ravel_multi_index(tuple(zip(*reach)), (3,) * n)
-            got = np.flatnonzero(reachable_boundaries(G))
-            assert got.tolist() == sorted(flat.tolist())
+            # bit i of the DP state flags the zero-sum boundary whose first
+            # n-1 values are the base-3 digits of i, most significant first
+            want = 0
+            for b in reach:
+                assert sum(b) % 3 == 0
+                want |= 1 << int("".join(map(str, b[:-1])), 3)
+            assert verifier._reach(G) == want
+            arr = reachable_boundaries(G)
+            assert all(arr[b] for b in reach)
             for b in rng.sample(sorted(reach), 3):
                 flow = solve_boundary(G, ZeroSumFunction(b))
                 assert boundary(G, flow).values == b
@@ -189,6 +194,7 @@ def test_digit_masks_at_large_n_match_naive():
                 b = tuple(b + [-sum(b) % 3])
                 flow = solve_boundary(G, ZeroSumFunction(b))
                 assert (flow is None) == (b not in reach)
+                assert arr[b] == (b in reach)
 
 
 def test_solve_boundary_unreachable():
@@ -216,6 +222,15 @@ def test_modular_orientation_and_flowability():
     assert is_3_flowable(cycle_graph(4))
     # a bridge blocks every nowhere-zero flow
     assert not is_3_flowable(build_graph(2, [(0, 1)]))
+
+
+def test_reachable_boundaries_indexing():
+    arr = reachable_boundaries(wheel(4))  # Z3-connected: every zero sum
+    assert arr[(0,) * 5] and arr[(1, 2, 0, 0, 0)] and arr[(2, 2, 2, 0, 0)]
+    assert not arr[(1, 0, 0, 0, 0)]
+    for bad in [(0,) * 4, (0,) * 6, (3, 0, 0, 0, 0), (-1, 1, 0, 0, 0)]:
+        with pytest.raises(IndexError):
+            arr[bad]
 
 
 def test_oracle_cap():
