@@ -35,14 +35,13 @@ import dataclasses
 import heapq
 
 from .catalog import base_graph, wheel
-from .enumerate import ENUMERATE_N_MAX, all_realizations
+from .enumerate import EnumerationCapError, first_z3_connected
 from .graph import Multigraph
 from .reducer import (Certificate, Step, base_step, certify, lift_step, replay,
                       two_cycle_step, wheel_step)
 from .seqcore import (EXCEPTION_KINDS, Classification, DegreeSequence, Kind,
                       Route, classify, classify_shape, merge_runs,
                       render_runs, residual_runs, run_entry)
-from .verifier import is_z3_connected
 
 FALLBACK_LIMIT = 10 ** 6
 
@@ -76,9 +75,11 @@ def realize(seq: DegreeSequence) -> RealizationResult:
     """Realize a degree sequence as a Z3-connected simple graph.
 
     Covered sequences always succeed with a certificate that replays (a
-    failure is a bug and raises).  Out-of-coverage sequences get a bounded
-    enumeration search; exhaustion yields status "unsupported", never a
-    wrong negative.
+    failure is a bug and raises).  Out-of-coverage sequences with n <=
+    ENUMERATE_N_MAX get `first_z3_connected` over at most FALLBACK_LIMIT
+    labeled realizations.  When it finds none the status is "unsupported",
+    never a wrong negative, and the trace says whether every realization
+    was checked or the limit stopped the search.
     """
     c = classify(seq)
     if c.kind == Kind.NOT_GRAPHIC:
@@ -99,25 +100,24 @@ def realize(seq: DegreeSequence) -> RealizationResult:
                 f"{rr.message}")
         return RealizationResult(seq, c, "realized", pack.graph, cert,
                                  "certificate", tuple(pack.trace))
-    if seq.n > ENUMERATE_N_MAX:
-        return RealizationResult(
-            seq, c, "unsupported",
-            trace=("out of coverage and beyond fallback search size",))
-    # the first candidate the oracle accepts is realized; that oracle check
-    # is its proof unless certify finds a certificate as well
-    for checked, G in enumerate(all_realizations(seq, limit=FALLBACK_LIMIT),
-                                start=1):
-        if is_z3_connected(G):
-            found = certify(G)
-            return RealizationResult(
-                seq, c, "realized", G, found.certificate,
-                "certificate" if found.proved else "oracle",
-                (f"out-of-coverage fallback search: candidate {checked} "
-                 "verified",))
+    # the first labeled realization the oracle accepts is realized; that
+    # oracle check is its proof unless certify finds a certificate as well
+    try:
+        G, tried = first_z3_connected(seq, limit=FALLBACK_LIMIT)
+    except EnumerationCapError:
+        return RealizationResult(seq, c, "unsupported", trace=(
+            "out of coverage and beyond fallback search size",))
+    if G is None:
+        why = (f"checked all {tried}" if tried < FALLBACK_LIMIT
+               else f"stopped at its limit of {FALLBACK_LIMIT}")
+        return RealizationResult(seq, c, "unsupported", trace=(
+            f"out of coverage; fallback search {why} labeled realizations, "
+            "none Z3-connected",))
+    found = certify(G)
     return RealizationResult(
-        seq, c, "unsupported",
-        trace=("out of coverage; fallback search found no "
-               "Z3-connected realization within limits",))
+        seq, c, "realized", G, found.certificate,
+        "certificate" if found.proved else "oracle",
+        (f"out-of-coverage fallback search: candidate {tried} verified",))
 
 
 def _validate(seq: DegreeSequence, G: Multigraph):
@@ -237,20 +237,6 @@ def _shift(args, off: int):
     return args + off
 
 
-def _glue(p1: _Pack, p2: _Pack, pairs: list[tuple[int, int]],
-          note: str) -> _Pack:
-    """Disjoint union of two built graphs plus cross edges; pairs are
-    (vertex in p1, vertex in p2) in local labels."""
-    n1 = p1.graph.n
-    edges = list(p1.graph.edges)
-    edges += [(u + n1, v + n1) for u, v in p2.graph.edges]
-    edges += [(a, b + n1) for a, b in pairs]
-    G = Multigraph(n1 + p2.graph.n, tuple(edges))
-    steps = p1.steps + [Step(s.kind, _shift(s.args, n1)) for s in p2.steps]
-    steps.append(two_cycle_step(pairs[0][0], pairs[0][1] + n1))
-    return _Pack(G, steps, [note] + p1.trace + p2.trace)
-
-
 # ----------------------------------------------------------- route: T12
 
 def _build_t12(runs: list[tuple[int, int]], n: int) -> _Pack | None:
@@ -324,32 +310,21 @@ def _build_l41(runs: list[tuple[int, int]], n: int) -> _Pack | None:
     if d2 == 4:
         return _l31_i(n)
     # (n-2, d2, 3^(n-2)) with even d2 >= 6
-    if n % 2 == 0:
-        rim = n - d2 + 2
-        S = list(range(rim + 1, rim + 1 + (d2 - 4)))
-        x = n - 1
-        edges = list(wheel(rim).edges)
-        edges += [(0, s) for s in S]
-        edges += [(1, s) for s in S]
-        edges += _matching(S[2:])
-        edges += [(1, x), (S[0], x), (S[1], x)]
-        steps = [wheel_step(0, tuple(range(1, rim + 1)))]
-        steps += [two_cycle_step(0, s) for s in S]
-        steps.append(two_cycle_step(0, x))
-        trace = [f"wheel W{rim} plus independent set of {len(S)}, even case"]
+    even = n % 2 == 0
+    rim = n - d2 + 1 + even
+    S = list(range(rim + 1, n - 1))
+    x = n - 1
+    edges = list(wheel(rim).edges)
+    edges += [(0, s) for s in S]
+    edges += [(1, s) for s in S]
+    if even:
+        edges += _matching(S[2:]) + [(1, x), (S[0], x), (S[1], x)]
     else:
-        rim = n - d2 + 1
-        S = list(range(rim + 1, rim + 1 + (d2 - 3)))
-        x = n - 1
-        edges = list(wheel(rim).edges)
-        edges += [(0, s) for s in S]
-        edges += [(1, s) for s in S]
-        edges += [(S[0], x), (S[1], x), (S[2], x)]
-        edges += _matching(S[3:])
-        steps = [wheel_step(0, tuple(range(1, rim + 1)))]
-        steps += [two_cycle_step(0, s) for s in S]
-        steps.append(two_cycle_step(0, x))
-        trace = [f"wheel W{rim} plus independent set of {len(S)}, odd case"]
+        edges += [(S[0], x), (S[1], x), (S[2], x)] + _matching(S[3:])
+    steps = [wheel_step(0, tuple(range(1, rim + 1)))]
+    steps += [two_cycle_step(0, s) for s in S] + [two_cycle_step(0, x)]
+    trace = [f"wheel W{rim} plus independent set of {len(S)}, "
+             f"{'even' if even else 'odd'} case"]
     return _Pack(Multigraph(n, tuple(edges)), steps, trace)
 
 
@@ -506,14 +481,7 @@ def _l31_ii(n: int) -> _Pack:
     if n == 9:
         return _w4_block([(1, 6), (2, 8), (3, 5)],
                          "wheel W4 joined to near-complete 4-block")
-    k = n // 2
-    p1 = _l31_ii(k)
-    p2 = _l31_ii(n - k)
-    a = _pick_by_degrees(_degree_heaps(p1.graph), [3, 3])
-    b = _pick_by_degrees(_degree_heaps(p2.graph), [3, 3])
-    return _glue(p1, p2, [(a[0], b[0]), (a[1], b[1])],
-                 f"glue (4^{k - 4},3^4) and (4^{n - k - 4},3^4) on two "
-                 "3-vertex pairs")
+    return _glue(n, [3, 3], "on two 3-vertex pairs")
 
 
 def _l31_iii(n: int) -> _Pack:
@@ -525,14 +493,26 @@ def _l31_iii(n: int) -> _Pack:
     if n == 9:
         return _w4_block([(0, 6), (1, 5), (2, 8)],
                          "wheel W4 joined to near-complete 4-block, hub-heavy")
+    return _glue(n, [4, 3], "raising one 4-vertex to degree 5")
+
+
+def _glue(n: int, first: list[int], note: str) -> _Pack:
+    """(4^(k-4),3^4) and (4^(n-k-4),3^4) for k = n//2, disjoint, plus two
+    cross edges from vertices of degrees `first` in the first piece to the
+    lowest-labeled 3-vertices of the second."""
     k = n // 2
-    p1 = _l31_ii(k)
-    p2 = _l31_ii(n - k)
-    u1, u2 = _pick_by_degrees(_degree_heaps(p1.graph), [4, 3])
-    b = _pick_by_degrees(_degree_heaps(p2.graph), [3, 3])
-    return _glue(p1, p2, [(u1, b[0]), (u2, b[1])],
-                 f"glue (4^{k - 4},3^4) and (4^{n - k - 4},3^4) raising one "
-                 "4-vertex to degree 5")
+    p1, p2 = _l31_ii(k), _l31_ii(n - k)
+    pairs = list(zip(_pick_by_degrees(_degree_heaps(p1.graph), first),
+                     _pick_by_degrees(_degree_heaps(p2.graph), [3, 3])))
+    n1 = p1.graph.n
+    edges = list(p1.graph.edges)
+    edges += [(u + n1, v + n1) for u, v in p2.graph.edges]
+    edges += [(a, b + n1) for a, b in pairs]
+    G = Multigraph(n, tuple(edges))
+    steps = p1.steps + [Step(s.kind, _shift(s.args, n1)) for s in p2.steps]
+    steps.append(two_cycle_step(pairs[0][0], pairs[0][1] + n1))
+    note = f"glue (4^{k - 4},3^4) and (4^{n - k - 4},3^4) {note}"
+    return _Pack(G, steps, [note] + p1.trace + p2.trace)
 
 
 def _w4_block(cross: list[tuple[int, int]], note: str) -> _Pack:

@@ -1,14 +1,15 @@
-"""Exhaustive enumeration of simple realizations of a degree sequence,
-isomorphism deduplication, and exception-family confirmation.
+"""Exhaustive enumeration of simple realizations of a degree sequence, and
+the one search for a Z3-connected realization among them.
 
 Enumeration is a backtracking search assigning, for each vertex in turn,
 its set of higher-indexed neighbors, pruning branches whose remaining
 degree demand is not graphic.  Every labeled simple realization appears
 exactly once.  The vertex count is capped because the space is enormous.
 
-Deduplication buckets graphs by Weisfeiler-Lehman hash and confirms a
-repeat with an exact isomorphism test, so the first graph enumerated in
-each isomorphism class is the one kept; only it imports networkx.
+`first_z3_connected` serves `verify_exception` and `realize`'s fallback on
+labeled graphs, since relabeling keeps Z3-connectivity.  Only `dedup=True`
+(the first graph per isomorphism class, by Weisfeiler-Lehman hash and an
+exact isomorphism test) imports networkx.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from typing import Iterator
 
 from .graph import Multigraph
 from .seqcore import EXCEPTION_KINDS, DegreeSequence, classify, is_graphic
-from .verifier import DEFAULT_CAP, is_z3_connected
+from .verifier import is_z3_connected
 
 ENUMERATE_N_MAX = 12
 
@@ -92,7 +93,18 @@ def count_isomorphism_classes(seq: DegreeSequence, limit: int | None = None) -> 
     return sum(1 for _ in all_realizations(seq, limit=limit, dedup=True))
 
 
-def verify_exception(seq: DegreeSequence, cap: int = DEFAULT_CAP) -> bool:
+def first_z3_connected(seq: DegreeSequence, limit: int | None = None
+                       ) -> tuple[Multigraph | None, int]:
+    """The first Z3-connected labeled realization (None if the first `limit`,
+    by default all, hold none) and the number of realizations tried."""
+    tried = 0
+    for tried, G in enumerate(all_realizations(seq, limit=limit), start=1):
+        if is_z3_connected(G):
+            return G, tried
+    return None, tried
+
+
+def verify_exception(seq: DegreeSequence) -> bool:
     """Confirm by exhaustion that no realization is Z3-connected.
 
     Only meaningful for sequences classified into an exception family;
@@ -101,7 +113,4 @@ def verify_exception(seq: DegreeSequence, cap: int = DEFAULT_CAP) -> bool:
     c = classify(seq)
     if c.kind not in EXCEPTION_KINDS:
         raise ValueError(f"{seq.render()} is not in an exception family")
-    for G in all_realizations(seq, dedup=True):
-        if is_z3_connected(G, cap):
-            return False
-    return True
+    return first_z3_connected(seq)[0] is None

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 from collections import Counter
 
 from .catalog import CERTIFIABLE_BASES, base_graph, wheel
@@ -178,8 +179,10 @@ class _State:
     def multiplicity(self, u: int, v: int) -> int:
         return self.adj[self.find(u)].get(self.find(v), 0)
 
-    def degree(self, v: int) -> int:
-        return sum(self.adj[self.find(v)].values())
+    def degree(self, v: int, cap: int | None = None) -> int:
+        """Edges leaving v's class; with `cap`, a sum over only `cap` rows of
+        at least one edge each, so exact below `cap` and >= `cap` otherwise."""
+        return sum(itertools.islice(self.adj[self.find(v)].values(), cap))
 
     def lift(self, u: int, v: int, w: int):
         ru, rv, rw = self.find(u), self.find(v), self.find(w)
@@ -225,8 +228,8 @@ def _apply_step(state: _State, step: Step) -> str | None:
     if step.kind == "lift":
         u, v, w = step.args
         err = _check(state, step.args, _LIFT, "lift")
-        if err is None and state.degree(u) < 4:
-            err = f"lift center has degree {state.degree(u)} < 4"
+        if err is None and (deg := state.degree(u, 4)) < 4:
+            err = f"lift center has degree {deg} < 4"
         if err is None:
             state.lift(u, v, w)
         return err

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import z3conn.builder
+import z3conn.enumerate
 import z3conn.seqcore
 from z3conn.builder import ConstructionError, _disjoint_edges, realize
 from z3conn.reducer import parse_certificate, replay
@@ -140,8 +141,10 @@ def test_covered_sequences_need_no_search_or_oracle(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("search or oracle used on a covered sequence")
 
-    for name in ("all_realizations", "is_z3_connected", "certify"):
+    for name in ("first_z3_connected", "certify"):
         monkeypatch.setattr(z3conn.builder, name, forbidden)
+    for name in ("all_realizations", "is_z3_connected"):
+        monkeypatch.setattr(z3conn.enumerate, name, forbidden)
     checked = 0
     for n in range(5, 10):
         for seq in graphic_sequences(n):
@@ -218,15 +221,28 @@ def test_out_of_coverage_fallback_positive():
 
 def test_out_of_coverage_fallback_exhaustion():
     # every realization fails verification; search reports honestly
-    for text in ["(3^4,2)", "(4^2,3^2,2^2)"]:
+    for text, total in [("(3^4,2)", 6), ("(4^2,3^2,2^2)", 17)]:
         res = run(text)
         assert res.classification.kind == Kind.OUT_OF_COVERAGE
         assert res.status == "unsupported"
+        assert res.trace == (
+            f"out of coverage; fallback search checked all {total} labeled "
+            "realizations, none Z3-connected",)
+
+
+def test_out_of_coverage_trace_names_the_search_limit(monkeypatch):
+    monkeypatch.setattr(z3conn.builder, "FALLBACK_LIMIT", 5)
+    res = run("(4^2,3^2,2^2)")
+    assert res.status == "unsupported"
+    assert res.trace == ("out of coverage; fallback search stopped at its "
+                         "limit of 5 labeled realizations, none Z3-connected",)
 
 
 def test_out_of_coverage_beyond_search_size():
     # too large for the fallback search
-    assert run("(4,4,3^12)").status == "unsupported"
+    res = run("(4,4,3^12)")
+    assert res.status == "unsupported"
+    assert res.trace == ("out of coverage and beyond fallback search size",)
 
 
 def test_determinism():

@@ -101,7 +101,12 @@ def test_realize_long_runs_match_pinned_bytes(text):
 
 
 def test_import_loads_neither_numpy_nor_networkx():
+    # nor do the two proof paths that enumerate: confirming an exception
+    # family and an out-of-coverage realize
     code = ("import sys, z3conn; "
+            "assert z3conn.verify_exception(z3conn.parse_sequence('(4,3^6)')); "
+            "r = z3conn.realize(z3conn.parse_sequence('(4^5,2)')); "
+            "assert r.status == 'realized', r; "
             "print(sorted({'numpy', 'networkx'} & set(sys.modules)))")
     src = str(pathlib.Path(__file__).parent.parent / "src")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,

@@ -4,8 +4,10 @@ import random
 import pytest
 
 from z3conn.enumerate import (EnumerationCapError, all_realizations,
-                              count_isomorphism_classes, verify_exception)
+                              count_isomorphism_classes, first_z3_connected,
+                              verify_exception)
 from z3conn.seqcore import DegreeSequence, is_graphic, parse_sequence
+from z3conn.verifier import is_z3_connected
 
 from helpers import brute_force_graphic, erdos_gallai_reference
 
@@ -110,10 +112,24 @@ def test_nongraphic_enumerates_empty():
 
 
 def test_verify_exception_families():
-    assert verify_exception(seq("(3^4)"))
-    assert verify_exception(seq("(5,3^5)"))
-    assert verify_exception(seq("(5^2,3^4)"))
+    # the n = 8 members (5,3^7), (7,3^7) and (7^2,3^6) have up to 9 660
+    # labeled realizations each
+    for text in ["(3^4)", "(5,3^5)", "(5^2,3^4)",
+                 "(5,3^7)", "(7,3^7)", "(7^2,3^6)"]:
+        assert verify_exception(seq(text)), text
     with pytest.raises(ValueError):
         verify_exception(seq("(4,3^4)"))
     with pytest.raises(ValueError):
         verify_exception(seq("(3,1,1,1)"))
+
+
+def test_first_z3_connected_scans_in_labeled_order():
+    s = seq("(5,4,3^3,2)")
+    G, tried = first_z3_connected(s)
+    assert tried == 4
+    assert G == list(all_realizations(s))[3] and is_z3_connected(G)
+    assert first_z3_connected(s, limit=3) == (None, 3)
+    assert first_z3_connected(seq("(5,3^5)")) == (None, 12)
+    assert first_z3_connected(DegreeSequence((3, 3, 1, 1))) == (None, 0)
+    with pytest.raises(EnumerationCapError):
+        first_z3_connected(seq("(3^14)"))

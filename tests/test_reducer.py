@@ -105,6 +105,20 @@ def test_replay_rejects_bad_certificates(graph, steps, fragment):
     assert fragment in res.message
 
 
+def test_lift_center_degree_counts_parallel_edges():
+    # the centre's check stops counting at 4; below 4 it names the degree
+    cases = [([(0, 1), (0, 2), (0, 3)], "lift center has degree 3 < 4"),
+             ([(0, 1), (0, 1), (0, 2)], "lift center has degree 3 < 4"),
+             ([(0, 1), (0, 1), (0, 2), (0, 3)], None),
+             ([(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)], None)]
+    for edges, message in cases:
+        state = _State(build_graph(6, edges))
+        assert _apply_step(state, lift_step(0, 1, 2)) == message
+    state = _State(build_graph(6, [(0, 1), (0, 1), (0, 2), (0, 3)]))
+    _apply_step(state, lift_step(0, 1, 2))
+    assert state.degree(0) == 2 and state.degree(0, 4) == 2
+
+
 def test_replay_uses_original_labels_after_merges():
     # referring to a merged-away vertex must still resolve to its class
     G = build_graph(4, [(0, 1), (0, 1), (1, 2), (0, 2), (2, 3), (1, 3)])

@@ -3,6 +3,7 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from z3conn import verifier
 from z3conn.catalog import base_graph, wheel
@@ -240,3 +241,23 @@ def test_oracle_cap():
     with pytest.raises(OracleCapError):
         reachable_boundaries(G, cap=14)
     assert not is_z3_connected(G, cap=15)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_z3_connectivity_survives_relabeling(data):
+    # relabeling the vertices, shuffling the edge list and reversing edges
+    # keep the answer, so a search may scan labeled graphs without first
+    # reducing them to one graph per isomorphism class
+    n = data.draw(st.integers(1, 9))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = [e for e, keep in zip(pairs, data.draw(st.lists(
+        st.booleans(), min_size=len(pairs), max_size=len(pairs)))) if keep]
+    perm = data.draw(st.permutations(range(n)))
+    order = data.draw(st.permutations(range(len(edges))))
+    flips = data.draw(st.lists(st.booleans(), min_size=len(edges),
+                               max_size=len(edges)))
+    moved = [(perm[v], perm[u]) if flips[i] else (perm[u], perm[v])
+             for i in order for u, v in [edges[i]]]
+    assert (is_z3_connected(Multigraph(n, tuple(moved)))
+            == is_z3_connected(Multigraph(n, tuple(edges))))
