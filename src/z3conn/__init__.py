@@ -10,7 +10,7 @@ from .graph import (GraphError, Multigraph, build_graph, find_even_wheel,
 from .reducer import Certificate, certify, parse_certificate, replay
 from .seqcore import (Classification, DegreeSequence, Kind, Route, classify,
                       is_graphic, parse_sequence, residual)
-from .verifier import (DEFAULT_CAP, FlowAssignment, OracleCapError,
+from .verifier import (ORACLE_N_MAX, FlowAssignment, OracleCapError,
                        ZeroSumFunction, boundary, has_modular_3_orientation,
                        is_3_flowable, is_z3_connected, solve_boundary)
 

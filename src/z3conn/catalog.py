@@ -39,15 +39,12 @@ _BASE_EDGES: dict[str, tuple[tuple[int, int], ...]] = {
     "fig2c": ((0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 3),
               (1, 6), (1, 7), (2, 3), (2, 6), (3, 7), (4, 5),
               (4, 6), (5, 7)),
-    # K4 minus one edge; degree-3 vertices 0 and 2, degree-2 vertices 1 and 3
-    "k4minus": ((0, 1), (0, 2), (0, 3), (1, 2), (2, 3)),
     "k5": tuple(itertools.combinations(range(5), 2)),
     "k5minus": tuple(itertools.combinations(range(5), 2))[:-1],
     "k44": tuple((i, 4 + j) for i in range(4) for j in range(4)),
 }
 
-# Bases usable as contraction targets in certificates (all Z3-connected;
-# k4minus is not, it only appears as a construction gadget).
+# Bases usable as contraction targets in certificates (all Z3-connected).
 CERTIFIABLE_BASES = ("k5", "k5minus", "fig1a", "fig1b", "fig1c", "fig1d",
                      "fig2a", "fig2b", "fig2c", "k44")
 

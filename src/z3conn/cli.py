@@ -4,7 +4,7 @@ Subcommands: classify, realize, verify, certify, enumerate, sweep.
 Exit codes: 0 for a positive answer (realized, Z3-connected, certified,
 sweep clean), 1 for a negative mathematical answer (not graphic, exception
 family, not Z3-connected, no certificate found), 2 for usage, input, or
-size-cap errors, including an oracle that cannot allocate its arrays.
+size-limit errors, including an oracle that cannot allocate its arrays.
 """
 from __future__ import annotations
 
@@ -13,11 +13,9 @@ import json
 import sys
 
 from . import builder, enumerate as enum_mod, reducer, sweep as sweep_mod
-from .graph import GraphError, format_edgelist, parse_edgelist, to_dot
-from .seqcore import (EXCEPTION_KINDS, Kind, SequenceError, classify,
-                      parse_sequence)
-from .verifier import (DEFAULT_CAP, OracleCapError, is_3_flowable,
-                       is_z3_connected)
+from .graph import format_edgelist, parse_edgelist, to_dot
+from .seqcore import EXCEPTION_KINDS, Kind, classify, parse_sequence
+from .verifier import is_3_flowable, is_z3_connected
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -29,10 +27,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SequenceError, GraphError, reducer.CertificateError,
-            OracleCapError, enum_mod.EnumerationCapError,
-            builder.ConstructionError, OSError, ValueError,
-            MemoryError) as exc:
+    except (ValueError, OSError, MemoryError,
+            builder.ConstructionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
@@ -57,7 +53,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="test a graph file for Z3-connectivity")
     p.add_argument("path")
-    p.add_argument("--oracle-cap", type=int, default=DEFAULT_CAP)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("certify", help="search for a reduction certificate")
@@ -75,7 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="realize every covered sequence up to a size")
     p.add_argument("--n-max", type=int, default=8)
     p.add_argument("--n-min", type=int, default=6)
-    p.add_argument("--oracle-cap", type=int, default=DEFAULT_CAP)
     p.set_defaults(func=_cmd_sweep)
     return parser
 
@@ -135,9 +129,9 @@ def _read_graph(path: str):
 
 def _cmd_verify(args) -> int:
     G = _read_graph(args.path)
-    z3 = is_z3_connected(G, cap=args.oracle_cap)
+    z3 = is_z3_connected(G)
     # a Z3-connected graph reaches every zero-sum boundary, 0 included
-    flow = z3 or is_3_flowable(G, cap=args.oracle_cap)
+    flow = z3 or is_3_flowable(G)
     print(f"z3_connected={'true' if z3 else 'false'}")
     print(f"three_flowable={'true' if flow else 'false'}")
     return EXIT_OK if z3 else EXIT_NEGATIVE
@@ -169,8 +163,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    report = sweep_mod.run_sweep(args.n_min, args.n_max,
-                                 oracle_cap=args.oracle_cap)
+    report = sweep_mod.run_sweep(args.n_min, args.n_max)
     for row in report.rows:
         mark = "ok" if row.ok else "FAIL"
         print(f"{row.sequence.render():24} route={row.classification.route.value}"

@@ -89,8 +89,8 @@ def _is_new(G: Multigraph, seen: dict[str, list]) -> bool:
     return True
 
 
-def count_isomorphism_classes(seq: DegreeSequence, limit: int | None = None) -> int:
-    return sum(1 for _ in all_realizations(seq, limit=limit, dedup=True))
+def count_isomorphism_classes(seq: DegreeSequence) -> int:
+    return sum(1 for _ in all_realizations(seq, dedup=True))
 
 
 def first_z3_connected(seq: DegreeSequence, limit: int | None = None

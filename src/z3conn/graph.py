@@ -70,6 +70,8 @@ class Multigraph:
         return len({(min(e), max(e)) for e in self.edges}) == self.m
 
     def is_connected(self) -> bool:
+        if self.m < self.n - 1:  # connected needs at least n-1 edges
+            return False
         nbrs, seen, stack = self.neighbor_sets(), {0}, [0]
         while stack:
             for y in nbrs[stack.pop()] - seen:
@@ -82,25 +84,28 @@ def build_graph(n: int, edges) -> Multigraph:
     return Multigraph(n, tuple((int(u), int(v)) for u, v in edges))
 
 
-def find_even_wheel(G: Multigraph, max_rim: int = 8) -> tuple[int, tuple[int, ...]] | None:
-    """Find a wheel subgraph with an even rim of length 4..max_rim.
+WHEEL_MAX_RIM = 8
+
+
+def find_even_wheel(G: Multigraph) -> tuple[int, tuple[int, ...]] | None:
+    """Find a wheel subgraph with an even rim of length 4..WHEEL_MAX_RIM.
 
     Returns (hub, rim cycle) for the first wheel found scanning hubs in
     ascending order and rim lengths from short to long, or None.  The rim
     is a cycle through distinct neighbors of the hub; spoke and rim edges
     must all be present (the wheel need not be induced).
     """
-    return find_even_wheel_in(G.neighbor_sets(), max_rim)
+    return find_even_wheel_in(G.neighbor_sets())
 
 
-def find_even_wheel_in(nbrs: list[set[int]], max_rim: int = 8) -> tuple[int, tuple[int, ...]] | None:
+def find_even_wheel_in(nbrs: list[set[int]]) -> tuple[int, tuple[int, ...]] | None:
     """`find_even_wheel` on a graph given as each vertex's set of distinct
     neighbors."""
     for hub, nb in enumerate(nbrs):
         if len(nb) < 4:
             continue
         ordered = sorted(nb)
-        for length in range(4, min(max_rim, len(nb)) + 1, 2):
+        for length in range(4, min(WHEEL_MAX_RIM, len(nb)) + 1, 2):
             rim = _find_cycle(ordered, nbrs, length)
             if rim is not None:
                 return hub, rim
@@ -203,8 +208,8 @@ def format_edgelist(G: Multigraph) -> str:
     return "".join([f"{G.n} {G.m}\n", *(f"{u} {v}\n" for u, v in G.edges)])
 
 
-def to_dot(G: Multigraph, name: str = "G") -> str:
-    return "".join([f"graph {name} {{\n", *(f"  {v};\n" for v in range(G.n)),
+def to_dot(G: Multigraph) -> str:
+    return "".join(["graph G {\n", *(f"  {v};\n" for v in range(G.n)),
                     *(f"  {u} -- {v};\n" for u, v in G.edges), "}\n"])
 
 

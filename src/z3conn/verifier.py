@@ -13,7 +13,9 @@ Python int bitset: bit i flags the zero-sum boundary with flat index i
 (vertex p < n-1 has stride 3^(n-2-p)).  Each edge is a few shift-and-mask
 operations against digit masks cached once per n.  Yes/no answers stop
 early once the set is full; only `solve_boundary` keeps one int per edge,
-for its witness.  Calls are capped (default n <= 14).
+for its witness.  Every entry point refuses graphs with more than
+`ORACLE_N_MAX` vertices: the set holds 3^(n-1) bits, so each further
+vertex triples time and memory.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ import functools
 
 from .graph import Multigraph
 
-DEFAULT_CAP = 14
+ORACLE_N_MAX = 14
 
 
 class OracleCapError(ValueError):
@@ -64,9 +66,10 @@ def boundary(G: Multigraph, flow: FlowAssignment) -> ZeroSumFunction:
     return ZeroSumFunction(tuple(b))
 
 
-def _check_cap(G: Multigraph, cap: int):
-    if G.n > cap:
-        raise OracleCapError(f"oracle limited to n<={cap}, got n={G.n}")
+def _check_size(G: Multigraph):
+    if G.n > ORACLE_N_MAX:
+        raise OracleCapError(
+            f"oracle limited to n<={ORACLE_N_MAX}, got n={G.n}")
 
 
 @functools.cache
@@ -144,34 +147,32 @@ def _flat(b) -> int:
     return sum(t * 3 ** (len(b) - 2 - p) for p, t in enumerate(b[:-1]))
 
 
-def reachable_boundaries(G: Multigraph,
-                         cap: int = DEFAULT_CAP) -> ReachableBoundaries:
+def reachable_boundaries(G: Multigraph) -> ReachableBoundaries:
     """Every achievable flow boundary of G, indexed by boundary tuple."""
-    _check_cap(G, cap)
+    _check_size(G)
     return ReachableBoundaries(G.n, _reach(G))
 
 
-def is_z3_connected(G: Multigraph, cap: int = DEFAULT_CAP) -> bool:
+def is_z3_connected(G: Multigraph) -> bool:
     """Whether every zero-sum boundary is achievable.
 
     Disconnected graphs are never Z3-connected and are rejected before the
     dynamic program runs, as are graphs with 2^m < 3^(n-1): m edges reach
     at most 2^m boundaries.
     """
-    _check_cap(G, cap)
+    _check_size(G)
     if not G.is_connected() or 2 ** G.m < 3 ** (G.n - 1):
         return False
     return _reach(G) == (1 << 3 ** (G.n - 1)) - 1
 
 
-def solve_boundary(G: Multigraph, b: ZeroSumFunction,
-                   cap: int = DEFAULT_CAP) -> FlowAssignment | None:
+def solve_boundary(G: Multigraph, b: ZeroSumFunction) -> FlowAssignment | None:
     """A flow with the given boundary, or None when unreachable.
 
     Keeps one zero-sum layer per edge, then walks the dynamic program
     backwards from the target through them to recover one witness.
     """
-    _check_cap(G, cap)
+    _check_size(G)
     if len(b.values) != G.n:
         raise ValueError("boundary length must match vertex count")
     masks = _masks(G.n)
@@ -197,8 +198,7 @@ def solve_boundary(G: Multigraph, b: ZeroSumFunction,
     return FlowAssignment(tuple(values))
 
 
-def has_modular_3_orientation(G: Multigraph,
-                              cap: int = DEFAULT_CAP) -> list[bool] | None:
+def has_modular_3_orientation(G: Multigraph) -> list[bool] | None:
     """An orientation with outdegree congruent to indegree mod 3 everywhere.
 
     Returns a per-edge reversal list against the reference orientation, or
@@ -206,11 +206,11 @@ def has_modular_3_orientation(G: Multigraph,
     the all-zero boundary is achievable: value 2 on an edge acts exactly
     like value 1 on the reversed edge.
     """
-    flow = solve_boundary(G, ZeroSumFunction((0,) * G.n), cap)
+    flow = solve_boundary(G, ZeroSumFunction((0,) * G.n))
     return None if flow is None else [f == 2 for f in flow.values]
 
 
-def is_3_flowable(G: Multigraph, cap: int = DEFAULT_CAP) -> bool:
+def is_3_flowable(G: Multigraph) -> bool:
     """Whether G admits a nowhere-zero 3-flow (the zero-boundary case)."""
-    _check_cap(G, cap)
+    _check_size(G)
     return bool(_reach(G) & 1)

@@ -275,10 +275,10 @@ def test_sweep_rejects_bad_range(bounds):
     assert f"n_min={bounds[0]}..n_max={bounds[1]}" in err
 
 
-def test_oracle_cap_flag(tmp_path):
+def test_verify_refuses_graphs_above_oracle_limit(tmp_path):
     from z3conn.builder import realize
     from z3conn.seqcore import parse_sequence
-    # a 16-vertex graph trips the default cap unless proved by certificate
+    # a 16-vertex graph is past the oracle limit; only a certificate proves it
     res = realize(parse_sequence("(14,4,3^14)"))
     path = tmp_path / "big.txt"
     path.write_text(format_edgelist(res.graph))

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from z3conn.catalog import base_graph, wheel
-from z3conn.graph import (GraphError, Multigraph, build_graph,
+from z3conn.graph import (WHEEL_MAX_RIM, GraphError, Multigraph, build_graph,
                           complete_bipartite, complete_graph, cycle_graph,
                           find_even_wheel, format_edgelist,
                           is_triangularly_connected, parse_edgelist, to_dot)
@@ -64,9 +64,9 @@ def test_find_even_wheel_after_split():
 
 
 def test_find_even_wheel_respects_max_rim():
-    G = wheel(10)
-    assert find_even_wheel(G, max_rim=8) is None
-    assert find_even_wheel(G, max_rim=10) == (0, tuple(range(1, 11)))
+    rim = tuple(range(1, WHEEL_MAX_RIM + 1))
+    assert find_even_wheel(wheel(WHEEL_MAX_RIM)) == (0, rim)
+    assert find_even_wheel(wheel(WHEEL_MAX_RIM + 2)) is None
 
 
 def test_triangular_connectivity():

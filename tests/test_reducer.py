@@ -92,7 +92,7 @@ def test_replay_lift_keeps_track_of_edges():
     (wheel(4), (wheel_step(0, (1, 2, 3)), Step("done")), "even"),
     (wheel(5), (wheel_step(0, (1, 2, 3, 4)), Step("done")), "rim edge"),
     (complete_graph(5), (base_step("k5", (0, 1, 2, 3)), Step("done")), "needs"),
-    (complete_graph(5), (base_step("k4minus", (0, 1, 2, 3)), Step("done")),
+    (complete_graph(5), (base_step("nosuch", (0, 1, 2, 3)), Step("done")),
      "not certifiable"),
     (build_graph(2, [(0, 1)]), (absorb_step(0), Step("done")), "outgoing"),
     (build_graph(1, []), (absorb_step(0), Step("done")), "outgoing"),
@@ -167,6 +167,15 @@ def test_certify_says_why_it_stopped(graph, budget, reason, nodes):
     res = certify(graph, budget=budget)
     assert (res.proved, res.reason, res.nodes) == (reason == "proved", reason, nodes)
     assert (res.certificate is not None) == res.proved
+
+
+def test_certify_rejects_too_few_edges_without_per_vertex_work(monkeypatch):
+    # m < n-1 cannot be connected; a million-vertex header costs nothing
+    def refuse(self):
+        raise AssertionError("neighbor sets built")
+    monkeypatch.setattr(Multigraph, "neighbor_sets", refuse)
+    res = certify(Multigraph(10 ** 6, ((0, 1),)))
+    assert (res.proved, res.reason, res.nodes) == (False, "disconnected", 0)
 
 
 def test_certify_absorb_depth_is_not_bounded_by_recursion_limit():

@@ -235,12 +235,14 @@ def test_reachable_boundaries_indexing():
 
 
 def test_oracle_cap():
-    G = build_graph(15, [(i, i + 1) for i in range(14)])
-    with pytest.raises(OracleCapError):
-        is_z3_connected(G)
-    with pytest.raises(OracleCapError):
-        reachable_boundaries(G, cap=14)
-    assert not is_z3_connected(G, cap=15)
+    # every entry point refuses one vertex past the limit, before the DP
+    n = verifier.ORACLE_N_MAX + 1
+    G = build_graph(n, [(i, i + 1) for i in range(n - 1)])
+    for check in (reachable_boundaries, is_z3_connected, is_3_flowable,
+                  has_modular_3_orientation,
+                  lambda G: solve_boundary(G, ZeroSumFunction((0,) * n))):
+        with pytest.raises(OracleCapError, match=f"n<={n - 1}, got n={n}"):
+            check(G)
 
 
 @settings(max_examples=200, deadline=None)
