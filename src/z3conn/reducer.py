@@ -495,24 +495,25 @@ def _search(state: _State, counter: list[int]) -> tuple[list[Step] | None, str]:
     weak = sum(1 << v for v, d in enumerate(deg) if d < 4)
     able = sum(1 << v for v, d in enumerate(deg) if d >= 2)
     failed: dict[int, int] = {}   # remaining classes -> nodes of its subtree
-    # the nodes on the path from R: [classes left, those of degree < 4,
-    # those of degree >= 2, those not yet absorbed from this node, counter
-    # on entry, class absorbed to get here]
+    # the nodes on the path from R: [class absorbed to get here, last class
+    # tried from here, counter on entry]; mask, weak and able are kept for
+    # the last node and restored from `deg` on pop, so a node is O(1)
     path: list[list] = []
     start, x = counter[0] + 1, None
     while True:
-        path.append([mask, weak, able, able, start, x])
+        path.append([x, -1, start])
         single = mask & (mask - 1) == 0
         if single or not weak and is_triangularly_connected(_induced(rows, mask)):
-            return (steps + [absorb_step(names[node[5]]) for node in path[1:]]
+            return (steps + [absorb_step(names[node[0]]) for node in path[1:]]
                     + [Step("done" if single else "triangular")]), "proved"
         while True:
             node = path[-1]
-            mask, weak, able, left, start, x = node
+            x, last, start = node
+            left = able >> (last + 1)
             if left:
-                bit = left & -left
-                node[3] = left ^ bit
-                spent = failed.get(mask ^ bit)
+                last += (left & -left).bit_length()
+                node[1] = last
+                spent = failed.get(mask ^ 1 << last)
                 if spent is None:
                     break
                 if counter[0] < spent:
@@ -527,11 +528,17 @@ def _search(state: _State, counter: list[int]) -> tuple[list[Step] | None, str]:
             for y, c in rows[x].items():
                 if mask >> y & 1:
                     deg[y] += c
+            mask |= 1 << x
+            for y in (x, *rows[x]):
+                if mask >> y & 1:
+                    bit = 1 << y
+                    weak = weak | bit if deg[y] < 4 else weak & ~bit
+                    able = able | bit if deg[y] >= 2 else able & ~bit
         if counter[0] <= 0:
             return None, "budget"
         start = counter[0]
         counter[0] -= 1
-        x = bit.bit_length() - 1
+        x, bit = last, 1 << last
         mask, weak, able = mask ^ bit, weak & ~bit, able ^ bit
         for y, c in rows[x].items():
             if mask >> y & 1:

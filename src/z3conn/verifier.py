@@ -8,19 +8,30 @@ flow values {1,2} on a fixed reference orientation covers all orientations.
 
 The oracle runs a reachable-boundary dynamic program: process edges one at
 a time and track which boundaries are hit.  Every boundary sums to 0 mod 3,
-so the last vertex's value is fixed by the others and the state set is a
-Python int bitset: bit i flags the zero-sum boundary with flat index i
-(vertex p < n-1 has stride 3^(n-2-p)).  Each edge is a few shift-and-mask
-operations against digit masks cached once per n.  Yes/no answers stop
-early once the set is full; only `solve_boundary` keeps one int per edge,
-for its witness.  Every entry point refuses graphs with more than
-`ORACLE_N_MAX` vertices: the set holds 3^(n-1) bits, so each further
-vertex triples time and memory.
+so one vertex's value is fixed by the others and the state set is a Python
+int bitset over the other n-1 digits.  The DP relabels the vertices for
+itself: sorted by degree, ascending, ties by label, so the highest-degree
+vertex becomes n-1 and has no digit, and label p < n-1 has stride
+3^(n-2-p); bit i flags the zero-sum boundary with flat index i in those
+labels.  Each edge is taken at the smaller label p of its ends, in
+descending order of p, as a few shift-and-mask operations against digit
+masks cached once per n.  While the edges at label p run, every digit
+with a smaller label is still 0, so the set fits in 3^(n-1-p) bits; an int
+costs its own length, so the DP does about sum over edges of
+3^(n-1-p) bit operations rather than m * 3^(n-1), and only the
+lowest-degree vertex's edges run at full width.  Yes/no answers stop early
+once the set is full; only `solve_boundary` keeps one int per edge, for its
+witness, which it maps back to the input edges.  `reachable_boundaries`
+runs the same DP in the input labels, so its flags index input boundaries.
+Every entry point refuses graphs with more than `ORACLE_N_MAX` vertices:
+the last edges run at 3^(n-1) bits, so each further vertex triples time
+and memory.
 """
 from __future__ import annotations
 
 import dataclasses
 import functools
+from collections.abc import Iterator
 
 from .graph import Multigraph
 
@@ -74,9 +85,9 @@ def _check_size(G: Multigraph):
 
 @functools.cache
 def _masks(n: int) -> tuple[tuple[int, int], ...]:
-    """Per vertex p < n-1: its stride s = 3^(n-2-p) and m0, the flags of
-    the states whose digit p is 0 (s ones with period 3s, grown by tripling;
-    the digit-2 flags are m0 << 2s and are not stored)."""
+    """Per label p < n-1: its stride s = 3^(n-2-p) and m0, the flags of
+    the states whose digit p is 0 (s ones with period 3s, grown by
+    tripling).  The DP reads a set X's digit-2 flags as (X >> 2s) & m0."""
     size = 3 ** (n - 1)
     masks = []
     for p in range(n - 1):
@@ -89,41 +100,61 @@ def _masks(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(masks)
 
 
-def _up(S: int, s: int, m0: int) -> int:
-    hi = S & (m0 << 2 * s)  # +1 mod 3 at the digit with stride s; 2 wraps
-    return ((S ^ hi) << s) | (hi >> 2 * s)
+def _degree_labels(G: Multigraph) -> list[int]:
+    """The DP label of each vertex: vertices sorted by degree, ascending,
+    ties by label, so the highest-degree vertex is n-1 and has no digit."""
+    deg = G.degrees()
+    label = [0] * G.n
+    for new, v in enumerate(sorted(range(G.n), key=deg.__getitem__)):
+        label[v] = new
+    return label
 
 
-def _down(S: int, s: int, m0: int) -> int:
-    lo = S & m0  # -1 mod 3 at the digit with stride s; 0 wraps
-    return ((S ^ lo) >> s) | (lo << 2 * s)
+def _layers(G: Multigraph, label) -> Iterator[tuple[int, int]]:
+    """The DP with vertex v at digit label[v]: yields (edge index, set)
+    after each edge, taking each edge at the smaller label of its ends, in
+    descending order of that label (input order among equals).
+
+    Values 1 and 2 give +1 at one end and -1 at the other, either way
+    round, so the orientation does not matter.  Every edge so far has both
+    labels >= p, so the digits with labels below p are 0 and every operand
+    fits in 3^(n-1-p) bits: (X >> 2s) & m0 and X & m0 are as short as X,
+    and no step builds a full-width mask."""
+    masks = _masks(G.n)
+    plan = []
+    for i, (u, v) in enumerate(G.edges):
+        p, q = sorted((label[u], label[v]))
+        plan.append((p, i, masks[p], masks[q] if q < len(masks) else None))
+    plan.sort(key=lambda t: -t[0])
+    S = 1  # no edges yet: only the all-zero boundary (flat index 0)
+    for _, i, (s, m0), far in plan:
+        X = Y = S  # an edge to vertex n-1 moves digit p alone
+        if far is not None:  # X: -1 at the far digit, Y: +1 there
+            t, n0 = far
+            lo = S & n0
+            X = ((S ^ lo) >> t) | (lo << 2 * t)
+            hi = (S >> 2 * t) & n0
+            Y = ((S ^ (hi << 2 * t)) << t) | hi
+        hi = (X >> 2 * s) & m0  # then +1 at digit p on X, -1 on Y
+        X = ((X ^ (hi << 2 * s)) << s) | hi
+        lo = Y & m0
+        S = X | ((Y ^ lo) >> s) | (lo << 2 * s)
+        yield i, S
 
 
-def _step(S: int, masks, u: int, v: int) -> int:
-    """The zero-sum states reachable from S through one more edge uv.
-
-    Values 1 and 2 give +1 at one endpoint and -1 at the other, either way
-    round, so the orientation does not matter.  Vertex n-1 has no digit:
-    an edge there moves only the other endpoint's digit, by +1 or -1."""
-    p, q = sorted((u, v))
-    if q == len(masks):
-        return _up(S, *masks[p]) | _down(S, *masks[p])
-    return (_up(_down(S, *masks[q]), *masks[p])
-            | _down(_up(S, *masks[q]), *masks[p]))
-
-
-def _reach(G: Multigraph) -> int:
-    """Reachable zero-sum boundaries of G as an int of 3^(n-1) flags.
+def _reach(G: Multigraph, label=None) -> int:
+    """Reachable zero-sum boundaries of G as an int of 3^(n-1) flags, by
+    flat index in `label` (the degree order when None).
 
     Stops once the set is full, which more edges keep full; k edges reach
     at most 2^k states, so fullness is tested only once 2^k >= 3^(n-1)."""
-    masks = _masks(G.n)
+    if label is None:
+        label = _degree_labels(G)
     size = 3 ** (G.n - 1)
     full = (1 << size) - 1
     first_check = (size - 1).bit_length()
-    S = 1  # no edges yet: only the all-zero boundary (flat index 0)
-    for k, (u, v) in enumerate(G.edges, 1):
-        S = _step(S, masks, u, v)
+    S = 1
+    for k, (_, S) in enumerate(_layers(G, label), 1):
         if k >= first_check and S == full:
             break
     return S
@@ -150,7 +181,7 @@ def _flat(b) -> int:
 def reachable_boundaries(G: Multigraph) -> ReachableBoundaries:
     """Every achievable flow boundary of G, indexed by boundary tuple."""
     _check_size(G)
-    return ReachableBoundaries(G.n, _reach(G))
+    return ReachableBoundaries(G.n, _reach(G, range(G.n)))
 
 
 def is_z3_connected(G: Multigraph) -> bool:
@@ -169,27 +200,31 @@ def is_z3_connected(G: Multigraph) -> bool:
 def solve_boundary(G: Multigraph, b: ZeroSumFunction) -> FlowAssignment | None:
     """A flow with the given boundary, or None when unreachable.
 
-    Keeps one zero-sum layer per edge, then walks the dynamic program
-    backwards from the target through them to recover one witness.
+    Keeps one zero-sum layer per edge, in the DP's degree order, then
+    walks back from the target through them to recover one witness.
     """
     _check_size(G)
     if len(b.values) != G.n:
         raise ValueError("boundary length must match vertex count")
-    masks = _masks(G.n)
-    layers = [1]
-    for u, v in G.edges:
-        layers.append(_step(layers[-1], masks, u, v))
-    state = list(b.values)
+    label = _degree_labels(G)
+    order, layers = [], [1]
+    for i, S in _layers(G, label):
+        order.append(i)
+        layers.append(S)
+    state = [0] * G.n
+    for v, t in enumerate(b.values):
+        state[label[v]] = t
     if not layers[-1] >> _flat(state) & 1:
         return None
     values = [0] * G.m
-    for i in reversed(range(G.m)):
-        u, v = G.edges[i]
+    for k in reversed(range(G.m)):
+        i = order[k]
+        u, v = (label[x] for x in G.edges[i])
         for a in (1, 2):
             cand = list(state)
             cand[u] = (cand[u] - a) % 3
             cand[v] = (cand[v] + a) % 3
-            if layers[i] >> _flat(cand) & 1:
+            if layers[k] >> _flat(cand) & 1:
                 break
         else:
             raise RuntimeError("witness reconstruction failed")

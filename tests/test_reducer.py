@@ -2,6 +2,7 @@ import inspect
 import itertools
 import random
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -208,6 +209,20 @@ def test_certify_scales_to_a_cubic_graph_with_1000_vertices():
     finally:
         sys.setrecursionlimit(old)
     assert (res.proved, res.reason, res.nodes) == (False, "budget", 20000)
+
+
+def test_certify_memory_does_not_grow_with_budget_times_n():
+    # on a long cycle the absorb path runs 10 001 nodes deep; a node that
+    # kept its own n-bit class masks would need about 128 MB here
+    G = cycle_graph(20000)
+    tracemalloc.start()
+    try:
+        res = certify(G)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (res.proved, res.reason, res.nodes) == (False, "budget", 20000)
+    assert peak < 40 * 2 ** 20
 
 
 @pytest.mark.parametrize("graph", [complete_graph(4), wheel(5),

@@ -162,7 +162,7 @@ def test_oracle_memory_at_n14():
     finally:
         tracemalloc.stop()
     assert state <= peak_yes_no < 3 * state
-    assert peak_witness < 8 * state
+    assert peak_witness < 3 * state
 
 
 def test_digit_masks_at_large_n_match_naive():
@@ -184,8 +184,8 @@ def test_digit_masks_at_large_n_match_naive():
             for b in reach:
                 assert sum(b) % 3 == 0
                 want |= 1 << int("".join(map(str, b[:-1])), 3)
-            assert verifier._reach(G) == want
             arr = reachable_boundaries(G)
+            assert arr.flags == want
             assert all(arr[b] for b in reach)
             for b in rng.sample(sorted(reach), 3):
                 flow = solve_boundary(G, ZeroSumFunction(b))
@@ -196,6 +196,41 @@ def test_digit_masks_at_large_n_match_naive():
                 flow = solve_boundary(G, ZeroSumFunction(b))
                 assert (flow is None) == (b not in reach)
                 assert arr[b] == (b in reach)
+
+
+def test_degree_order_matches_naive_on_every_target():
+    # the DP relabels the vertices by degree and takes the edges in that
+    # order; answers, targets and witnesses must still be in input labels,
+    # with degree ties, parallel edges, isolated vertices and edges at the
+    # highest-degree vertex in both orientations
+    rng = random.Random(307)
+    for n in range(1, 10):
+        for _ in range(8):
+            used = rng.sample(range(n), rng.randint(min(n, 2), n))
+            edges = []
+            if len(used) >= 2:
+                top, others = used[0], used[1:]
+                edges = [(top, rng.choice(others)), (rng.choice(others), top)]
+                m = rng.randint(2, 12)
+                while len(edges) < m:
+                    u, v = rng.sample(used, 2)
+                    edges += [(u, v)] * rng.choice((1, 1, 2))
+                edges = edges[:m]
+            rng.shuffle(edges)
+            G = Multigraph(n, tuple(edges))
+            reach = naive_boundaries(G)
+            zero = (0,) * n
+            assert is_z3_connected(G) == naive_z3_connected(G)
+            assert is_3_flowable(G) == (zero in reach)
+            assert (has_modular_3_orientation(G) is None) == (zero not in reach)
+            for b in itertools.product((0, 1, 2), repeat=n):
+                if sum(b) % 3:
+                    continue
+                flow = solve_boundary(G, ZeroSumFunction(b))
+                if b in reach:
+                    assert boundary(G, flow).values == b
+                else:
+                    assert flow is None
 
 
 def test_solve_boundary_unreachable():
