@@ -9,9 +9,10 @@ Each covered sequence is built by one of four routes keyed on d1:
   T14 (d1 = n-3): a residual step, or wheel-based gadgets for the
     (n-3,d2,3^(n-2)) and (n-3,4^2,3^(n-3)) shapes.
   T15 (d1 <= n-4): a residual step, the (4^(n-4),3^4) gluing family,
-    the (d1,4^(n-5),3^4) wheel gadgets (including a squared-cycle piece),
     and the (d1,4^(n-6),3^5) family built by inverse lifts from d1 = 5,
     whose far edges come from a scan in edge order plus augmenting paths.
+    (d1,4^(n-5),3^4) with even d1 >= 6 takes one residual step onto that
+    last family, (d1-1,4^(n-7),3^5).
 
 A residual step deletes the smallest degree (see seqcore.residual).  The
 builder loops: it peels residual steps until some route builds the rest
@@ -192,34 +193,6 @@ def _matching(vertices: list[int]) -> list[tuple[int, int]]:
     if len(vertices) % 2:
         raise ConstructionError("matching needs an even vertex set")
     return [(vertices[i], vertices[i + 1]) for i in range(0, len(vertices), 2)]
-
-
-def _rim_safe_matching(vertices: list[int], drop_middle: bool) -> list[tuple[int, int]]:
-    """Matching on rim vertices avoiding rim-adjacent (consecutive) pairs.
-
-    With drop_middle, the middle vertex stays unmatched (it keeps degree 3).
-    """
-    L = sorted(vertices)
-    if drop_middle:
-        L.pop(len(L) // 2)
-        return [(L[i], L[-1 - i]) for i in range(len(L) // 2)]
-    out = []
-    while L:
-        if len(L) == 2:
-            a, b = L
-            if b - a < 2:
-                raise ConstructionError("cannot match rim-adjacent pair")
-            out.append((a, b))
-            L = []
-        elif len(L) % 4 == 2:
-            b = L[:6]
-            out += [(b[0], b[2]), (b[1], b[4]), (b[3], b[5])]
-            L = L[6:]
-        else:
-            b = L[:4]
-            out += [(b[0], b[2]), (b[1], b[3])]
-            L = L[4:]
-    return out
 
 
 def _base_pack(name: str, note: str) -> _Pack:
@@ -457,13 +430,6 @@ def _build_t15(runs: list[tuple[int, int]], n: int) -> _Pack | None:
         return _t15_inverse_lift(runs, n)
     if runs == merge_runs([(4, n - 4), (3, 4)]):
         return _l31_ii(n)
-    if (runs == merge_runs([(d1, 1), (4, n - 5), (3, 4)]) and d1 % 2 == 0
-            and d1 >= 6):
-        if d1 == n - 4:
-            return _t15_wheel_path(n, long_head=False)
-        if d1 == n - 5:
-            return _t15_wheel_path(n, long_head=True)
-        return _t15_squared_cycle(n, d1)
     return None
 
 
@@ -523,63 +489,6 @@ def _w4_block(cross: list[tuple[int, int]], note: str) -> _Pack:
     edges += cross
     steps = [wheel_step(0, (1, 2, 3, 4)), wheel_step(5, (6, 7, 8, 0))]
     return _Pack(Multigraph(9, tuple(edges)), steps, [note])
-
-
-def _t15_wheel_path(n: int, long_head: bool) -> _Pack:
-    """(n-4, 4^(n-5), 3^4) on an even wheel with a pendant path of three
-    vertices, or (n-5, 4^(n-5), 3^4) with a path of four."""
-    if long_head:
-        rim = n - 5
-        xs = [n - 4, n - 3, n - 2, n - 1]
-        hook_targets = [1, 2, 3, 4, 5, 6]
-        if rim - 6 == 2:
-            # two leftover rim vertices must not be rim-adjacent
-            hook_targets = [1, 2, 3, 4, 5, 7]
-        hooks = [(xs[0], hook_targets[0]), (xs[0], hook_targets[1]),
-                 (xs[1], hook_targets[2]), (xs[2], hook_targets[3]),
-                 (xs[3], hook_targets[4]), (xs[3], hook_targets[5])]
-    else:
-        rim = n - 4
-        xs = [n - 3, n - 2, n - 1]
-        hook_targets = [1, 2, 3, 4, 5]
-        hooks = [(xs[0], 1), (xs[0], 2), (xs[1], 3), (xs[2], 4), (xs[2], 5)]
-    edges = list(wheel(rim).edges)
-    edges += [(xs[i], xs[i + 1]) for i in range(len(xs) - 1)]
-    edges += hooks
-    leftover = [v for v in range(1, rim + 1) if v not in hook_targets]
-    edges += _rim_safe_matching(leftover, drop_middle=len(leftover) % 2 == 1)
-    steps = [wheel_step(0, tuple(range(1, rim + 1)))]
-    steps += [two_cycle_step(0, x) for x in xs]
-    return _Pack(Multigraph(n, tuple(edges)), steps,
-                 [f"wheel W{rim} with pendant path of {len(xs)}"])
-
-
-def _t15_squared_cycle(n: int, d1: int) -> _Pack:
-    """(d1, 4^(n-5), 3^4) with 6 <= d1 <= n-6: an even wheel W_d1 bridged
-    to a squared cycle missing one chord."""
-    m = n - d1 - 1
-    if m < 5:
-        raise ConstructionError("squared-cycle piece needs at least 5 vertices")
-    u = [0] + [d1 + i for i in range(1, m + 1)]  # u[i] for i in 1..m
-    edges = list(wheel(d1).edges)
-    edges += [(u[i], u[i + 1]) for i in range(1, m)] + [(u[m], u[1])]
-    # distance-2 chords, except the one between u2 and the last cycle vertex
-    edges += [(u[i], u[i + 2]) for i in range(1, m - 1)]
-    edges.append((u[m - 1], u[1]))
-    edges += [(1, u[m]), (2, u[2])]
-    lo, hi = 3, d1
-    # four consecutive rim vertices keep degree 3
-    while hi - lo > 3:
-        edges.append((lo, hi))
-        lo += 1
-        hi -= 1
-    steps = [lift_step(u[1], u[2], u[3]), two_cycle_step(u[2], u[3])]
-    steps += [two_cycle_step(u[2], u[i]) for i in range(4, m + 1)]
-    steps.append(two_cycle_step(u[2], u[1]))
-    steps.append(wheel_step(0, tuple(range(1, d1 + 1))))
-    steps.append(two_cycle_step(1, u[2]))
-    return _Pack(Multigraph(n, tuple(edges)), steps,
-                 [f"wheel W{d1} bridged to squared {m}-cycle missing a chord"])
 
 
 def _t15_inverse_lift(runs: list[tuple[int, int]], n: int) -> _Pack:

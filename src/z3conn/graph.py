@@ -137,7 +137,11 @@ def _find_cycle(vertices, adj, length) -> tuple[int, ...] | None:
 
 def is_triangularly_connected(G: Multigraph) -> bool:
     """Whether every pair of edges is linked by a chain of cycles of length
-    at most 3 (parallel-edge 2-cycles count), and G has at least 2 edges."""
+    at most 3 (parallel-edge 2-cycles count), and G has at least 2 edges.
+
+    Edges of one 2-cycle or triangle are put in one class.  An edge on
+    neither stays alone in its class, so one class means every edge lies
+    on such a cycle."""
     if G.m < 2 or not G.is_connected():
         return False
     parent = list(range(G.m))
@@ -148,33 +152,15 @@ def is_triangularly_connected(G: Multigraph) -> bool:
             x = parent[x]
         return x
 
-    def union(x, y):
-        parent[find(x)] = find(y)
-
     by_pair: dict[tuple[int, int], list[int]] = {}
     for i, (u, v) in enumerate(G.edges):
         by_pair.setdefault((min(u, v), max(u, v)), []).append(i)
-    in_cycle = [False] * G.m
-    for ids in by_pair.values():
-        if len(ids) > 1:
-            for i in ids:
-                union(i, ids[0])
-                in_cycle[i] = True
-    pairs = list(by_pair)
-    adj_pairs = {}
+    nbrs = G.neighbor_sets()
     for (u, v), ids in by_pair.items():
-        adj_pairs.setdefault(u, set()).add(v)
-        adj_pairs.setdefault(v, set()).add(u)
-    for u, v in pairs:
-        for w in sorted(adj_pairs.get(u, ()) & adj_pairs.get(v, ())):
-            i = by_pair[(min(u, v), max(u, v))][0]
-            j = by_pair[(min(u, w), max(u, w))][0]
-            k = by_pair[(min(v, w), max(v, w))][0]
-            union(i, j)
-            union(i, k)
-            in_cycle[i] = in_cycle[j] = in_cycle[k] = True
-    if not all(in_cycle):
-        return False
+        # each side uv of a triangle uvw joins side uw: that links all three
+        for j in ids[1:] + [by_pair[min(u, w), max(u, w)][0]
+                            for w in nbrs[u] & nbrs[v]]:
+            parent[find(j)] = find(ids[0])
     root = find(0)
     return all(find(i) == root for i in range(G.m))
 

@@ -35,6 +35,28 @@ def naive_z3_connected(G: Multigraph) -> bool:
     return want <= reach
 
 
+def naive_triangularly_connected(G: Multigraph) -> bool:
+    """Triangular connectivity from its definition: m >= 2, no isolated
+    vertex, and the graph on the edges is connected, where two edges are
+    adjacent when they are parallel or two sides of a triangle."""
+    if G.m < 2 or {v for e in G.edges for v in e} != set(range(G.n)):
+        return False
+    pairs = {frozenset(e) for e in G.edges}
+
+    def adjacent(e, f):
+        e, f = set(e), set(f)
+        return e == f or (len(e & f) == 1 and frozenset(e ^ f) in pairs)
+
+    seen, stack = {0}, [0]
+    while stack:
+        i = stack.pop()
+        for j in range(G.m):
+            if j not in seen and adjacent(G.edges[i], G.edges[j]):
+                seen.add(j)
+                stack.append(j)
+    return len(seen) == G.m
+
+
 def erdos_gallai_reference(degrees) -> bool:
     """Graphicality via the classical inequalities (independent copy)."""
     d = sorted(degrees, reverse=True)

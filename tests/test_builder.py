@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 import z3conn.builder
 import z3conn.enumerate
 import z3conn.seqcore
-from z3conn.builder import ConstructionError, _disjoint_edges, realize
+from z3conn.builder import (_RESIDUAL_NOTES, ConstructionError, _disjoint_edges,
+                            realize)
 from z3conn.reducer import parse_certificate, replay
 from z3conn.seqcore import (Classification, DegreeSequence, Kind, Route,
                             classify, parse_sequence)
@@ -167,20 +168,39 @@ def test_inverse_lift_family_is_realized():
                 assert replay(res.graph, res.certificate).ok, seq.render()
                 checked += 1
     assert checked == 323
+    # (d1, 4^(n-5), 3^4) with even d1 >= 6 takes one residual step onto
+    # the family above, (d1-1, 4^(n-7), 3^5)
+    note = _RESIDUAL_NOTES[Route.T15]
+    checked = 0
+    for n in range(10, 41):
+        for d1 in range(6, n - 3, 2):
+            seq = DegreeSequence((d1,) + (4,) * (n - 5) + (3,) * 4)
+            assert classify(seq).route is Route.T15, seq.render()
+            res = realize(seq)
+            assert replay(res.graph, res.certificate).ok, seq.render()
+            assert res.trace[0] == (
+                f"{note}: attach degree-3 vertex to realization of "
+                f"{DegreeSequence((d1 - 1,) + (4,) * (n - 7) + (3,) * 5).render()}")
+            if n <= 14:
+                assert is_z3_connected(res.graph), seq.render()
+            checked += 1
+    assert checked == 256
 
 
 def test_inverse_lift_at_n_3001_under_default_recursion_limit():
     # d1 = n-4 needs 1496 far edges, 37 more than the scan finds, so the
-    # augmenting-path search runs; it must not recurse along a path
-    seq = parse_sequence("(2997,4^2995,3^5)")
+    # augmenting-path search runs; it must not recurse along a path.
+    # (2996,4^2995,3^4) reaches the same shape by one residual step.
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
-        res = realize(seq)
-        assert replay(res.graph, res.certificate).ok
+        for text in ["(2997,4^2995,3^5)", "(2996,4^2995,3^4)"]:
+            seq = parse_sequence(text)
+            res = realize(seq)
+            assert replay(res.graph, res.certificate).ok, text
+            assert res.graph.degree_sequence() == seq, text
     finally:
         sys.setrecursionlimit(old)
-    assert res.graph.degree_sequence() == seq
 
 
 def test_disjoint_edges_augment_along_long_paths():

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from z3conn.catalog import base_graph, wheel
 from z3conn.graph import (WHEEL_MAX_RIM, GraphError, Multigraph, build_graph,
@@ -8,7 +9,7 @@ from z3conn.graph import (WHEEL_MAX_RIM, GraphError, Multigraph, build_graph,
                           find_even_wheel, format_edgelist,
                           is_triangularly_connected, parse_edgelist, to_dot)
 
-from helpers import random_multigraph
+from helpers import naive_triangularly_connected, random_multigraph
 
 
 def test_build_and_accessors():
@@ -82,6 +83,23 @@ def test_triangular_connectivity():
     # ... unless a chord forms a triangle across the cut
     H = build_graph(5, list(G.edges) + [(1, 3)])
     assert is_triangularly_connected(H)
+
+
+@st.composite
+def multigraphs(draw):
+    """Multigraphs with n <= 9 and up to 3n edges, parallel edges likely."""
+    n = draw(st.integers(2, 9))
+    ends = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 2)),
+                         max_size=3 * n))
+    return Multigraph(n, tuple((u, v + (v >= u)) for u, v in ends))
+
+
+@settings(max_examples=300, deadline=None)
+@given(multigraphs())
+def test_triangular_connectivity_matches_definition(G):
+    # `ordered_certify` calls the package's check too, so the search
+    # comparisons cannot catch a fault in it; this reference does not
+    assert is_triangularly_connected(G) == naive_triangularly_connected(G)
 
 
 def test_edgelist_roundtrip():
