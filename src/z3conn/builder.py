@@ -8,11 +8,11 @@ Each covered sequence is built by one of four routes keyed on d1:
     an independent set, or the (n-2,4,3^(n-2)) family.
   T14 (d1 = n-3): a residual step, or wheel-based gadgets for the
     (n-3,d2,3^(n-2)) and (n-3,4^2,3^(n-3)) shapes.
-  T15 (d1 <= n-4): a residual step, the (4^(n-4),3^4) gluing family,
-    and the (d1,4^(n-6),3^5) family built by inverse lifts from d1 = 5,
-    whose far edges come from a scan in edge order plus augmenting paths.
-    (d1,4^(n-5),3^4) with even d1 >= 6 takes one residual step onto that
-    last family, (d1-1,4^(n-7),3^5).
+  T15 (d1 <= n-4): a residual step; the (4^(n-4),3^4) family, glued
+    from halves with each piece written once, at its offset; and
+    (d1,4^(n-6),3^5), by inverse lifts from d1 = 5, its far edges from a
+    scan in edge order plus augmenting paths.  (d1,4^(n-5),3^4) with even
+    d1 >= 6 takes one residual step onto (d1-1,4^(n-7),3^5).
 
 A residual step deletes the smallest degree (see seqcore.residual).  The
 builder loops: it peels residual steps until some route builds the rest
@@ -155,7 +155,9 @@ def _build(seq: DegreeSequence, route: Route) -> _Pack:
                 f"{render_runs(runs)} ({c.kind.value})")
         route = c.route
     edges = list(pack.graph.edges)
-    heaps = _degree_heaps(pack.graph)
+    heaps: dict[int, list[int]] = {}  # labels by degree, min-heaps
+    for v, d in enumerate(pack.graph.degrees()):
+        heaps.setdefault(d, []).append(v)
     v = pack.graph.n
     for lowered in reversed(peeled):
         needed = [d for d, t in lowered for _ in range(t)]
@@ -170,14 +172,6 @@ def _build(seq: DegreeSequence, route: Route) -> _Pack:
 
 
 # ---------------------------------------------------------------- helpers
-
-def _degree_heaps(G: Multigraph) -> dict[int, list[int]]:
-    """Vertex labels bucketed by degree, each bucket a sorted min-heap."""
-    heaps: dict[int, list[int]] = {}
-    for v, d in enumerate(G.degrees()):
-        heaps.setdefault(d, []).append(v)
-    return heaps
-
 
 def _pick_by_degrees(heaps: dict[int, list[int]], needed: list[int]) -> list[int]:
     """Pop vertices of the needed degrees, lowest labels first."""
@@ -198,16 +192,6 @@ def _matching(vertices: list[int]) -> list[tuple[int, int]]:
 def _base_pack(name: str, note: str) -> _Pack:
     G = base_graph(name)
     return _Pack(G, [base_step(name, tuple(range(G.n)))], [note])
-
-
-def _shift(args, off: int):
-    """Step arguments with every vertex label raised by off; base names
-    are kept."""
-    if isinstance(args, str):
-        return args
-    if isinstance(args, tuple):
-        return tuple(_shift(a, off) for a in args)
-    return args + off
 
 
 # ----------------------------------------------------------- route: T12
@@ -447,7 +431,7 @@ def _l31_ii(n: int) -> _Pack:
     if n == 9:
         return _w4_block([(1, 6), (2, 8), (3, 5)],
                          "wheel W4 joined to near-complete 4-block")
-    return _glue(n, [3, 3], "on two 3-vertex pairs")
+    return _glue(n, False)
 
 
 def _l31_iii(n: int) -> _Pack:
@@ -459,26 +443,42 @@ def _l31_iii(n: int) -> _Pack:
     if n == 9:
         return _w4_block([(0, 6), (1, 5), (2, 8)],
                          "wheel W4 joined to near-complete 4-block, hub-heavy")
-    return _glue(n, [4, 3], "raising one 4-vertex to degree 5")
+    return _glue(n, True)
 
 
-def _glue(n: int, first: list[int], note: str) -> _Pack:
-    """(4^(k-4),3^4) and (4^(n-k-4),3^4) for k = n//2, disjoint, plus two
-    cross edges from vertices of degrees `first` in the first piece to the
-    lowest-labeled 3-vertices of the second."""
-    k = n // 2
-    p1, p2 = _l31_ii(k), _l31_ii(n - k)
-    pairs = list(zip(_pick_by_degrees(_degree_heaps(p1.graph), first),
-                     _pick_by_degrees(_degree_heaps(p2.graph), [3, 3])))
-    n1 = p1.graph.n
-    edges = list(p1.graph.edges)
-    edges += [(u + n1, v + n1) for u, v in p2.graph.edges]
-    edges += [(a, b + n1) for a, b in pairs]
-    G = Multigraph(n, tuple(edges))
-    steps = p1.steps + [Step(s.kind, _shift(s.args, n1)) for s in p2.steps]
-    steps.append(two_cycle_step(pairs[0][0], pairs[0][1] + n1))
-    note = f"glue (4^{k - 4},3^4) and (4^{n - k - 4},3^4) {note}"
-    return _Pack(G, steps, [note] + p1.trace + p2.trace)
+def _glue(n: int, hub_heavy: bool) -> _Pack:
+    """(4^(n-4),3^4), or (5,4^(n-6),3^5) when hub_heavy, for n >= 10.
+    Halves (4^(k-4),3^4), k = n//2, are halved down to fixed pieces on
+    5..9 vertices; each piece is written once, at its offset (notes in
+    pre-order, edges and steps in post-order).  Two cross edges join the
+    first half's two lowest 3-vertices (vertex 0 and its lowest 3-vertex
+    when hub_heavy) to the second's two lowest.  Vertex 0 of a piece is
+    its lowest 4-vertex, so it is the 5-vertex of (5,4^(n-6),3^5)."""
+    edges, steps, trace = [], [], []
+
+    def piece(n: int, off: int, hub_heavy: bool) -> list[int]:
+        """Write the piece on off..off+n-1; return its 3-vertices."""
+        if n <= 9:
+            p = _l31_ii(n)
+            edges.extend((u + off, v + off) for u, v in p.graph.edges)
+            for s in p.steps:  # (wheel hub or base name, vertex tuple)
+                h, vs = s.args
+                steps.append(Step(s.kind, (h if isinstance(h, str) else h + off,
+                                           tuple(v + off for v in vs))))
+            trace.extend(p.trace)
+            return [v + off for v, d in enumerate(p.graph.degrees()) if d == 3]
+        k = n // 2
+        trace.append(f"glue (4^{k - 4},3^4) and (4^{n - k - 4},3^4) "
+                     + ("raising one 4-vertex to degree 5" if hub_heavy
+                        else "on two 3-vertex pairs"))
+        threes1, threes2 = piece(k, off, False), piece(n - k, off + k, False)
+        tails = [off, threes1[0]] if hub_heavy else threes1[:2]
+        edges.extend(zip(tails, threes2))
+        steps.append(two_cycle_step(tails[0], threes2[0]))
+        return threes1[1 if hub_heavy else 2:] + threes2[2:]
+
+    piece(n, 0, hub_heavy)
+    return _Pack(Multigraph(n, tuple(edges)), steps, trace)
 
 
 def _w4_block(cross: list[tuple[int, int]], note: str) -> _Pack:
@@ -497,7 +497,7 @@ def _t15_inverse_lift(runs: list[tuple[int, int]], n: int) -> _Pack:
     need = (runs[0][0] - 5) // 2
     sub = _l31_iii(n)
     G = sub.graph
-    u = _pick_by_degrees(_degree_heaps(G), [5])[0]
+    u = 0  # the 5-vertex of every _l31_iii(n) (see _glue)
     closed = G.neighbor_sets()[u] | {u}
     far = [(a, b) for a, b in G.edges if a not in closed and b not in closed]
     picked = _disjoint_edges(far, need)

@@ -8,6 +8,7 @@ import z3conn.enumerate
 import z3conn.seqcore
 from z3conn.builder import (_RESIDUAL_NOTES, ConstructionError, _disjoint_edges,
                             realize)
+from z3conn.graph import Multigraph
 from z3conn.reducer import parse_certificate, replay
 from z3conn.seqcore import (Classification, DegreeSequence, Kind, Route,
                             classify, parse_sequence)
@@ -135,6 +136,28 @@ def test_residual_loop_makes_no_per_step_passes(monkeypatch):
         assert len(res.trace) > 2500
         assert replay(res.graph, res.certificate).ok
         assert calls["is_graphic"] == 1
+
+
+def test_glue_builds_one_big_graph(monkeypatch):
+    # (4^(n-4),3^4) and the inverse lift over (5,4^(n-6),3^5) glue halves
+    # down to fixed pieces on 5..9 vertices; each piece is written once,
+    # so the graphs on 10 or more vertices that one realize constructs
+    # do not grow in number with n.
+    big = [0]
+    post_init = Multigraph.__post_init__
+
+    def counted(self):
+        big[0] += self.n >= 10
+        post_init(self)
+
+    monkeypatch.setattr(Multigraph, "__post_init__", counted)
+    for shape, short in [("(4^{},3^4)", 4), ("(7,4^{},3^5)", 6)]:
+        counts = []
+        for n in (1000, 4000):
+            big[0] = 0
+            assert run(shape.format(n - short)).status == "realized"
+            counts.append(big[0])
+        assert counts[0] == counts[1] <= 3, (shape, counts)
 
 
 def test_covered_sequences_need_no_search_or_oracle(monkeypatch):

@@ -90,6 +90,14 @@ LONG_RUN_SHA256 = {
         "856cad4e41d656be1296d54abe84680f2be6ead74c9ea5e46c38fb4de9917936",
     "(15,4^20,3^5)":
         "59e4da29fe66651b7b03436cc65884608ef11d048ec345fbb0c7fa075de87f0d",
+    "(4^996,3^4)":
+        "61d7f2383146953b604419213b7fb7aa041f8ed76159d5fab0c52201cbd3800e",
+    "(5,4^994,3^5)":
+        "55d09267d788b7ed635554d6e3169a6fe47db9e447c269a81fd7382b55b89853",
+    "(333,4^994,3^5)":
+        "5c5f380988194ea9cda8917f51ab7ae40ee044067fbdfc0e12d9ed6c525adefd",
+    "(500,4^996,3^4)":
+        "a391be37734097283559f60add091ef64139418d894da5e117e3e108c77b8724",
 }
 
 
