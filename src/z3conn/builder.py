@@ -22,13 +22,13 @@ O(runs touched), and re-attachment pops anchors from per-degree min-heaps
 of labels; graphicality is checked once, since by Kleitman-Wang (1973) a
 residual step keeps a graphic sequence graphic.
 
-Constructions carry their own reduction certificate: a list of lift and
-contraction steps that collapses the graph to a single vertex.  Steps of
+Constructions return an edge list with its reduction certificate: lift
+and contraction steps that collapse the graph to one vertex.  Steps of
 separately built pieces compose (merging never deletes vertices, so edges
 added between pieces survive until their turn), and each re-attached
-vertex adds one 2-cycle contraction.  Every covered sequence is proved
-by replaying its certificate; only the out-of-coverage fallback search
-relies on the certifier or the oracle.
+vertex adds one 2-cycle contraction.  `realize` builds and validates the
+one graph, then proves it by replaying the certificate; only the
+out-of-coverage fallback search relies on the certifier or the oracle.
 """
 from __future__ import annotations
 
@@ -37,7 +37,7 @@ import heapq
 
 from .catalog import base_graph, wheel
 from .enumerate import EnumerationCapError, first_z3_connected
-from .graph import Multigraph
+from .graph import Multigraph, count_degrees
 from .reducer import (Certificate, Step, base_step, certify, lift_step, replay,
                       two_cycle_step, wheel_step)
 from .seqcore import (EXCEPTION_KINDS, Classification, DegreeSequence, Kind,
@@ -53,10 +53,10 @@ class ConstructionError(RuntimeError):
 
 @dataclasses.dataclass
 class _Pack:
-    """A built graph, its reduction steps (only lift/contract steps, ending
-    with every vertex in one class), and human-readable trace lines."""
+    """Edge list, reduction steps (lift/contract only, ending with every
+    vertex in one class) and trace lines; `realize` builds the graph."""
 
-    graph: Multigraph
+    edges: list[tuple[int, int]]
     steps: list[Step]
     trace: list[str]
 
@@ -92,14 +92,15 @@ def realize(seq: DegreeSequence) -> RealizationResult:
             trace=(f"no Z3-connected realization exists ({c.kind.value})",))
     if c.kind == Kind.COVERED:
         pack = _build(seq, c.route)
-        _validate(seq, pack.graph)
+        G = Multigraph(seq.n, tuple(pack.edges))
+        _validate(seq, G)
         cert = Certificate(tuple(pack.steps) + (Step("done"),))
-        rr = replay(pack.graph, cert)
+        rr = replay(G, cert)
         if not rr.ok:
             raise ConstructionError(
                 f"built certificate failed replay at step {rr.failed_step}: "
                 f"{rr.message}")
-        return RealizationResult(seq, c, "realized", pack.graph, cert,
+        return RealizationResult(seq, c, "realized", G, cert,
                                  "certificate", tuple(pack.trace))
     # the first labeled realization the oracle accepts is realized; that
     # oracle check is its proof unless certify finds a certificate as well
@@ -154,21 +155,20 @@ def _build(seq: DegreeSequence, route: Route) -> _Pack:
                 f"residual steps left the covered families at "
                 f"{render_runs(runs)} ({c.kind.value})")
         route = c.route
-    edges = list(pack.graph.edges)
     heaps: dict[int, list[int]] = {}  # labels by degree, min-heaps
-    for v, d in enumerate(pack.graph.degrees()):
+    for v, d in enumerate(count_degrees(n, pack.edges)):
         heaps.setdefault(d, []).append(v)
-    v = pack.graph.n
+    v = n
     for lowered in reversed(peeled):
         needed = [d for d, t in lowered for _ in range(t)]
         anchors = _pick_by_degrees(heaps, needed)
         for a, d in zip(anchors, needed):
             heapq.heappush(heaps.setdefault(d + 1, []), a)
         heapq.heappush(heaps.setdefault(len(anchors), []), v)
-        edges += [(a, v) for a in anchors]
+        pack.edges += [(a, v) for a in anchors]
         pack.steps.append(two_cycle_step(anchors[0], v))
         v += 1
-    return _Pack(Multigraph(v, tuple(edges)), pack.steps, trace + pack.trace)
+    return _Pack(pack.edges, pack.steps, trace + pack.trace)
 
 
 # ---------------------------------------------------------------- helpers
@@ -190,8 +190,8 @@ def _matching(vertices: list[int]) -> list[tuple[int, int]]:
 
 
 def _base_pack(name: str, note: str) -> _Pack:
-    G = base_graph(name)
-    return _Pack(G, [base_step(name, tuple(range(G.n)))], [note])
+    G = base_graph(name)  # cached: copy its edges, as _build appends to them
+    return _Pack(list(G.edges), [base_step(name, tuple(range(G.n)))], [note])
 
 
 # ----------------------------------------------------------- route: T12
@@ -245,8 +245,9 @@ def _join_pack(n: int, h: list[tuple[int, int]], rim: tuple[int, ...],
     1..n-1.  The certificate contracts the even wheel of 0 and rim, then
     each other vertex v by a 2-cycle: its edge to 0 and an H-edge into the
     merged class, taking v in breadth-first order over H from the rim."""
-    G = Multigraph(n, tuple([(0, v) for v in range(1, n)] + h))
-    nbrs = G.neighbor_sets()
+    nbrs: list[set[int]] = [set() for _ in range(n)]  # in H: 0 is seen
+    for a, b in h + [(b, a) for a, b in h]:
+        nbrs[a].add(b)
     order = list(rim)
     seen = {0, *rim}
     for u in order:  # grows while it is walked: a breadth-first queue
@@ -255,7 +256,7 @@ def _join_pack(n: int, h: list[tuple[int, int]], rim: tuple[int, ...],
             order.append(v)
     steps = [wheel_step(0, rim)]
     steps += [two_cycle_step(0, v) for v in order[len(rim):]]
-    return _Pack(G, steps, [note])
+    return _Pack([(0, v) for v in range(1, n)] + h, steps, [note])
 
 
 # ----------------------------------------------------------- route: L41
@@ -282,7 +283,7 @@ def _build_l41(runs: list[tuple[int, int]], n: int) -> _Pack | None:
     steps += [two_cycle_step(0, s) for s in S] + [two_cycle_step(0, x)]
     trace = [f"wheel W{rim} plus independent set of {len(S)}, "
              f"{'even' if even else 'odd'} case"]
-    return _Pack(Multigraph(n, tuple(edges)), steps, trace)
+    return _Pack(edges, steps, trace)
 
 
 def _l31_i(n: int) -> _Pack:
@@ -301,17 +302,16 @@ def _l31_i(n: int) -> _Pack:
         edges += [(0, u1), (0, u2), (0, u3)]
         steps = [wheel_step(0, tuple(range(1, rim + 1))),
                  wheel_step(u2, (u1, 0, u3, u4))]
-        return _Pack(Multigraph(n, tuple(edges)), steps,
+        return _Pack(edges, steps,
                      [f"wheel W{rim} joined to near-complete 4-block, odd case"])
     rim = n - 6
-    fig = base_graph("fig1a")
-    edges = list(fig.edges)
+    edges = list(base_graph("fig1a").edges)
     spokes = [(0, 6 + i) for i in range(rim)]
     ring = [(6 + i, 6 + i + 1) for i in range(rim - 1)] + [(6, 6 + rim - 1)]
     edges += spokes + ring
     steps = [wheel_step(0, tuple(range(6, 6 + rim))),
              base_step("fig1a", tuple(range(6)))]
-    return _Pack(Multigraph(n, tuple(edges)), steps,
+    return _Pack(edges, steps,
                  [f"(4^2,3^4) base sharing its 4-vertex with wheel W{rim}, "
                   "even case"])
 
@@ -365,7 +365,7 @@ def _t14_two_heavy(n: int, d2: int) -> _Pack:
         steps += [two_cycle_step(0, t) for t in S1]
         steps.append(wheel_step(0, (s3, x1, s4, x2)))
         trace = [f"wheel W{rim} plus independent set of {len(S)}, odd case"]
-    return _Pack(Multigraph(n, tuple(edges)), steps, trace)
+    return _Pack(edges, steps, trace)
 
 
 def _t14_shape_442(n: int) -> _Pack:
@@ -389,8 +389,7 @@ def _t14_fans(n: int, anchor: int, note: str) -> _Pack:
         edges += [(anchor, x2), (s1, x2), (s2, x2)]
         steps = [wheel_step(0, tuple(range(1, rim + 1))),
                  wheel_step(0, (s1, x1, s2, x2))]
-        return _Pack(Multigraph(n, tuple(edges)), steps,
-                     [f"wheel W{rim} with {note}, odd case"])
+        return _Pack(edges, steps, [f"wheel W{rim} with {note}, odd case"])
     rim = n - 6
     s1, s2, s3, x1, x2 = n - 5, n - 4, n - 3, n - 2, n - 1
     edges = list(wheel(rim).edges)
@@ -400,8 +399,7 @@ def _t14_fans(n: int, anchor: int, note: str) -> _Pack:
     steps = [wheel_step(0, tuple(range(1, rim + 1))),
              two_cycle_step(0, s1),
              wheel_step(0, (s2, x1, s3, x2))]
-    return _Pack(Multigraph(n, tuple(edges)), steps,
-                 [f"wheel W{rim} with {note}, even case"])
+    return _Pack(edges, steps, [f"wheel W{rim} with {note}, even case"])
 
 
 # ----------------------------------------------------------- route: T15
@@ -420,7 +418,7 @@ def _build_t15(runs: list[tuple[int, int]], n: int) -> _Pack | None:
 def _l31_ii(n: int) -> _Pack:
     """(4^(n-4), 3^4) for n >= 5."""
     if n == 5:
-        return _Pack(wheel(4), [wheel_step(0, (1, 2, 3, 4))],
+        return _Pack(list(wheel(4).edges), [wheel_step(0, (1, 2, 3, 4))],
                      ["wheel W4 realizes (4,3^4)"])
     if n == 6:
         return _base_pack("fig1a", "fixed realization of (4^2,3^4)")
@@ -460,13 +458,14 @@ def _glue(n: int, hub_heavy: bool) -> _Pack:
         """Write the piece on off..off+n-1; return its 3-vertices."""
         if n <= 9:
             p = _l31_ii(n)
-            edges.extend((u + off, v + off) for u, v in p.graph.edges)
+            edges.extend((u + off, v + off) for u, v in p.edges)
             for s in p.steps:  # (wheel hub or base name, vertex tuple)
                 h, vs = s.args
                 steps.append(Step(s.kind, (h if isinstance(h, str) else h + off,
                                            tuple(v + off for v in vs))))
             trace.extend(p.trace)
-            return [v + off for v, d in enumerate(p.graph.degrees()) if d == 3]
+            deg = count_degrees(n, p.edges)
+            return [v + off for v in range(n) if deg[v] == 3]
         k = n // 2
         trace.append(f"glue (4^{k - 4},3^4) and (4^{n - k - 4},3^4) "
                      + ("raising one 4-vertex to degree 5" if hub_heavy
@@ -478,7 +477,7 @@ def _glue(n: int, hub_heavy: bool) -> _Pack:
         return threes1[1 if hub_heavy else 2:] + threes2[2:]
 
     piece(n, 0, hub_heavy)
-    return _Pack(Multigraph(n, tuple(edges)), steps, trace)
+    return _Pack(edges, steps, trace)
 
 
 def _w4_block(cross: list[tuple[int, int]], note: str) -> _Pack:
@@ -488,7 +487,7 @@ def _w4_block(cross: list[tuple[int, int]], note: str) -> _Pack:
     edges += [(5, 6), (5, 7), (5, 8), (6, 7), (7, 8)]
     edges += cross
     steps = [wheel_step(0, (1, 2, 3, 4)), wheel_step(5, (6, 7, 8, 0))]
-    return _Pack(Multigraph(9, tuple(edges)), steps, [note])
+    return _Pack(edges, steps, [note])
 
 
 def _t15_inverse_lift(runs: list[tuple[int, int]], n: int) -> _Pack:
@@ -496,20 +495,19 @@ def _t15_inverse_lift(runs: list[tuple[int, int]], n: int) -> _Pack:
     and pull (d1-5)/2 disjoint far edges onto the 5-vertex."""
     need = (runs[0][0] - 5) // 2
     sub = _l31_iii(n)
-    G = sub.graph
     u = 0  # the 5-vertex of every _l31_iii(n) (see _glue)
-    closed = G.neighbor_sets()[u] | {u}
-    far = [(a, b) for a, b in G.edges if a not in closed and b not in closed]
+    closed = {x for e in sub.edges if u in e for x in e}
+    far = [(a, b) for a, b in sub.edges if a not in closed and b not in closed]
     picked = _disjoint_edges(far, need)
     if len(picked) < need:
         raise ConstructionError(
             f"not enough disjoint edges away from the 5-vertex in "
             f"{render_runs(runs)}")
     dropped = set(picked)
-    edges = [e for e in G.edges if e not in dropped]
+    edges = [e for e in sub.edges if e not in dropped]
     edges += [(u, x) for e in picked for x in e]
     steps = [lift_step(u, a, b) for a, b in picked] + sub.steps
-    return _Pack(Multigraph(n, tuple(edges)), steps,
+    return _Pack(edges, steps,
                  [f"inverse lifts of {len(picked)} edges onto the 5-vertex"]
                  + sub.trace)
 
@@ -525,12 +523,14 @@ def _disjoint_edges(edges: list[tuple[int, int]],
     path may be missed; the search ends when a phase finds none.
     """
     mate: dict[int, int] = {}
-    adj: dict[int, list[int]] = {}
     for a, b in edges:
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
         if len(mate) < 2 * need and a not in mate and b not in mate:
             mate[a], mate[b] = b, a
+    adj: dict[int, list[int]] = {}
+    if len(mate) < 2 * need:  # the scan fell short: augment along paths
+        for a, b in edges:
+            adj.setdefault(a, []).append(b)
+            adj.setdefault(b, []).append(a)
     size = -1
     while size < len(mate) < 2 * need:
         size, seen = len(mate), set()

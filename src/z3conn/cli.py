@@ -101,22 +101,26 @@ def _cmd_realize(args) -> int:
         for line in r.trace:
             print(f"# {line}", file=sys.stderr)
         return EXIT_ERROR
+    show_cert = args.certify and r.certificate is not None
     if args.format == "json":
-        print(json.dumps({
+        out = {
             "sequence": seq.render(),
             "n": r.graph.n,
             "edges": [list(e) for e in r.graph.edges],
             "proof": r.proof,
             "trace": list(r.trace),
-        }))
-    else:
-        print(f"# realization of {seq.render()}")
-        for line in r.trace:
-            print(f"# {line}")
-        print(f"# proof: {r.proof}")
-        sys.stdout.write((to_dot if args.format == "dot"
-                          else format_edgelist)(r.graph))
-    if args.certify and r.certificate is not None:
+        }
+        if show_cert:  # one rendered step per entry
+            out["certificate"] = [s.render() for s in r.certificate.steps]
+        print(json.dumps(out))
+        return EXIT_OK
+    print(f"# realization of {seq.render()}")
+    for line in r.trace:
+        print(f"# {line}")
+    print(f"# proof: {r.proof}")
+    sys.stdout.write((to_dot if args.format == "dot"
+                      else format_edgelist)(r.graph))
+    if show_cert:
         print("# certificate:")
         sys.stdout.write(r.certificate.render())
     return EXIT_OK

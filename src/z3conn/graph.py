@@ -20,6 +20,15 @@ class GraphError(ValueError):
     """Invalid graph content or an operation precondition failure."""
 
 
+def count_degrees(n: int, edges) -> list[int]:
+    """Degrees of vertices 0..n-1 under an edge list."""
+    deg = [0] * n
+    for u, v in edges:
+        deg[u] += 1
+        deg[v] += 1
+    return deg
+
+
 @dataclasses.dataclass(frozen=True)
 class Multigraph:
     n: int
@@ -42,11 +51,7 @@ class Multigraph:
         return sum((u == v) + (w == v) for u, w in self.edges)
 
     def degrees(self) -> list[int]:
-        deg = [0] * self.n
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+        return count_degrees(self.n, self.edges)
 
     def degree_sequence(self) -> DegreeSequence:
         return DegreeSequence.of(self.degrees())

@@ -138,26 +138,40 @@ def test_residual_loop_makes_no_per_step_passes(monkeypatch):
         assert calls["is_graphic"] == 1
 
 
-def test_glue_builds_one_big_graph(monkeypatch):
-    # (4^(n-4),3^4) and the inverse lift over (5,4^(n-6),3^5) glue halves
-    # down to fixed pieces on 5..9 vertices; each piece is written once,
-    # so the graphs on 10 or more vertices that one realize constructs
-    # do not grow in number with n.
-    big = [0]
-    post_init = Multigraph.__post_init__
+def test_every_route_builds_one_graph(monkeypatch):
+    # constructions return edge lists; realize builds and validates the
+    # one Multigraph, so builder code constructs exactly one per covered
+    # realize, whatever the construction (catalog and replay not counted)
+    built = [0]
 
-    def counted(self):
-        big[0] += self.n >= 10
-        post_init(self)
+    def counted(*args):
+        built[0] += 1
+        return Multigraph(*args)
 
-    monkeypatch.setattr(Multigraph, "__post_init__", counted)
-    for shape, short in [("(4^{},3^4)", 4), ("(7,4^{},3^5)", 6)]:
-        counts = []
-        for n in (1000, 4000):
-            big[0] = 0
-            assert run(shape.format(n - short)).status == "realized"
-            counts.append(big[0])
-        assert counts[0] == counts[1] <= 3, (shape, counts)
+    monkeypatch.setattr(z3conn.builder, "Multigraph", counted)
+    for text, route, note in [
+            ("(1000,3^1000)", Route.T12, "1-petal flower"),
+            ("(1000,5,3^999)", Route.T12, "2-petal flower"),
+            ("(1000,4^2,3^998)", Route.T12, "theta graph"),
+            ("(1000^2,4,3^998)", Route.T12, "two dominating vertices"),
+            ("(999,4^600,3^399)", Route.T12, "d1=n-1 with d3>=4"),
+            ("(998,4,3^998)", Route.L41, "(4^2,3^4) base sharing"),
+            ("(999,4,3^999)", Route.L41, "near-complete 4-block, odd"),
+            ("(998,6,3^998)", Route.L41, "independent set of 2"),
+            ("(997,5,3^998)", Route.T14, "two 3-fans"),
+            ("(997,4^2,3^997)", Route.T14, "3-fans on two rim vertices"),
+            ("(997,7,3^998)", Route.T14, "independent set of 3, even"),
+            ("(996,7,3^997)", Route.T14, "independent set of 4, odd"),
+            ("(4^996,3^4)", Route.T15, "on two 3-vertex pairs"),
+            ("(5,4^994,3^5)", Route.T15, "raising one 4-vertex"),
+            ("(7,4^994,3^5)", Route.T15, "inverse lifts of 1 edges"),
+            ("(22,4^995,3^4)", Route.T15, "to realization of (21,4^993")]:
+        built[0] = 0
+        res = run(text)
+        assert res.status == "realized", text
+        assert res.classification.route is route, text
+        assert note in res.trace[0], (text, res.trace[0])
+        assert built[0] == 1, (text, built[0])
 
 
 def test_covered_sequences_need_no_search_or_oracle(monkeypatch):

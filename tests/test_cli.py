@@ -11,7 +11,8 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 from z3conn.cli import main
-from z3conn.graph import format_edgelist, parse_edgelist
+from z3conn.graph import build_graph, format_edgelist, parse_edgelist
+from z3conn.reducer import parse_certificate, replay
 from z3conn.verifier import is_z3_connected
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -131,6 +132,14 @@ def test_realize_json_and_dot():
     data = json.loads(out)
     assert data["n"] == 6
     assert len(data["edges"]) == 10
+    assert "certificate" not in data
+    # with --certify the steps go inside the one JSON object
+    code, out, _ = run_cli("realize", "(4^2,3^4)", "--format", "json",
+                           "--certify")
+    assert code == 0
+    data = json.loads(out)
+    cert = parse_certificate("\n".join(data["certificate"]))
+    assert replay(build_graph(data["n"], data["edges"]), cert).ok
     code, out, _ = run_cli("realize", "(4^2,3^4)", "--format", "dot")
     assert code == 0
     assert "graph G {" in out
@@ -141,7 +150,6 @@ def test_realize_prints_certificate_on_request():
     assert code == 0
     assert "# certificate:" in out
     cert_text = out.split("# certificate:\n", 1)[1]
-    from z3conn.reducer import parse_certificate, replay
     cert = parse_certificate(cert_text)
     G = parse_edgelist(out.split("# certificate:", 1)[0])
     assert replay(G, cert).ok
