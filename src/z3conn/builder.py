@@ -4,15 +4,17 @@ Each covered sequence is built by one of four routes keyed on d1:
   T12 (d1 = n-1): a residual step when d3 >= 4; otherwise vertex 0
     joined to a flower of cycles (the wheel W_{n-1} among them), a theta
     graph, a second dominating vertex, or K5.
-  L41 (d1 = n-2): a residual step when d3 >= 4; otherwise a wheel plus
-    an independent set, or the (n-2,4,3^(n-2)) family.
+  L41 (d1 = n-2): a residual step when d3 >= 4; otherwise the
+    (n-2,4,3^(n-2)) family, with d2 >= 6 by inverse lifts onto its 4-vertex.
   T14 (d1 = n-3): a residual step, or wheel-based gadgets for the
-    (n-3,d2,3^(n-2)) and (n-3,4^2,3^(n-3)) shapes.
+    (n-3,5,3^(n-2)) shape, with d2 >= 7 by inverse lifts onto its 5-vertex,
+    and the (n-3,4^2,3^(n-3)) shape.
   T15 (d1 <= n-4): a residual step; the (4^(n-4),3^4) family, glued
     from halves with each piece written once, at its offset; and
-    (d1,4^(n-6),3^5), by inverse lifts from d1 = 5, its far edges from a
-    scan in edge order plus augmenting paths.  (d1,4^(n-5),3^4) with even
-    d1 >= 6 takes one residual step onto (d1-1,4^(n-7),3^5).
+    (d1,4^(n-6),3^5), by inverse lifts from d1 = 5.  (d1,4^(n-5),3^4)
+    with even d1 >= 6 takes one residual step onto (d1-1,4^(n-7),3^5).
+  An inverse lift pulls disjoint far edges onto one vertex, picked by a
+  scan in edge order plus augmenting paths.
 
 A residual step deletes the smallest degree (see seqcore.residual).  The
 builder loops: it peels residual steps until some route builds the rest
@@ -33,6 +35,7 @@ out-of-coverage fallback search relies on the certifier or the oracle.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import heapq
 
 from .catalog import base_graph, wheel
@@ -267,27 +270,12 @@ def _build_l41(runs: list[tuple[int, int]], n: int) -> _Pack | None:
     d2 = run_entry(runs, 1)
     if d2 == 4:
         return _l31_i(n)
-    # (n-2, d2, 3^(n-2)) with even d2 >= 6
-    even = n % 2 == 0
-    rim = n - d2 + 1 + even
-    S = list(range(rim + 1, n - 1))
-    x = n - 1
-    edges = list(wheel(rim).edges)
-    edges += [(0, s) for s in S]
-    edges += [(1, s) for s in S]
-    if even:
-        edges += _matching(S[2:]) + [(1, x), (S[0], x), (S[1], x)]
-    else:
-        edges += [(S[0], x), (S[1], x), (S[2], x)] + _matching(S[3:])
-    steps = [wheel_step(0, tuple(range(1, rim + 1)))]
-    steps += [two_cycle_step(0, s) for s in S] + [two_cycle_step(0, x)]
-    trace = [f"wheel W{rim} plus independent set of {len(S)}, "
-             f"{'even' if even else 'odd'} case"]
-    return _Pack(edges, steps, trace)
+    # (n-2, d2, 3^(n-2)) with even d2 >= 6: lifts onto _l31_i's 4-vertex
+    return _inverse_lift(_l31_i(n), 1 if n % 2 == 0 else n - 3, (d2 - 4) // 2)
 
 
 def _l31_i(n: int) -> _Pack:
-    """(n-2, 4, 3^(n-2)) for n >= 6."""
+    """(n-2, 4, 3^(n-2)), n >= 6; its 4-vertex is 1, or n-3 for odd n > 7."""
     if n == 6:
         return _base_pack("fig1a", "fixed realization of (4^2,3^4)")
     if n == 7:
@@ -327,45 +315,11 @@ def _build_t14(runs: list[tuple[int, int]], n: int) -> _Pack | None:
 
 
 def _t14_two_heavy(n: int, d2: int) -> _Pack:
-    """(n-3, d2, 3^(n-2)) with odd d2 >= 5."""
-    if d2 == 5:
-        if n == 8:
-            return _base_pack("fig1d", "fixed realization of (5^2,3^6)")
-        return _t14_fans(n, 1, "two 3-fans")
-    # d2 >= 7
-    if n % 2 == 0:
-        rim = n - d2 + 1
-        S = list(range(rim + 1, rim + 1 + (d2 - 4)))
-        x1, x2 = n - 2, n - 1
-        s, S1 = S[0], S[1:]
-        edges = list(wheel(rim).edges)
-        edges += [(0, t) for t in S]
-        edges += [(1, t) for t in S1]
-        edges += _matching(S1[2:])
-        edges += [(1, x1), (S1[0], x1), (1, x2), (S1[1], x2)]
-        edges += [(s, x1), (s, x2)]
-        steps = [wheel_step(0, tuple(range(1, rim + 1)))]
-        steps += [two_cycle_step(0, t) for t in S1]
-        steps += [two_cycle_step(0, x1), two_cycle_step(0, x2),
-                  two_cycle_step(0, s)]
-        trace = [f"wheel W{rim} plus independent set of {len(S)}, even case"]
-    else:
-        rim = n - d2
-        S = list(range(rim + 1, rim + 1 + (d2 - 3)))
-        x1, x2 = n - 2, n - 1
-        s3, s4 = S[0], S[1]
-        S1 = S[2:]
-        edges = list(wheel(rim).edges)
-        edges += [(0, t) for t in S]
-        edges += [(1, t) for t in S1]
-        edges += [(1, x1), (s3, x1), (s4, x1)]
-        edges += [(1, x2), (s3, x2), (s4, x2)]
-        edges += _matching(S1)
-        steps = [wheel_step(0, tuple(range(1, rim + 1)))]
-        steps += [two_cycle_step(0, t) for t in S1]
-        steps.append(wheel_step(0, (s3, x1, s4, x2)))
-        trace = [f"wheel W{rim} plus independent set of {len(S)}, odd case"]
-    return _Pack(edges, steps, trace)
+    """(n-3, d2, 3^(n-2)), odd d2 >= 5: two 3-fans, lifted when d2 >= 7."""
+    if n == 8:  # d2 = 5
+        return _base_pack("fig1d", "fixed realization of (5^2,3^6)")
+    fans = _t14_fans(n, 1, "two 3-fans")
+    return fans if d2 == 5 else _inverse_lift(fans, 1, (d2 - 5) // 2)
 
 
 def _t14_shape_442(n: int) -> _Pack:
@@ -407,9 +361,8 @@ def _t14_fans(n: int, anchor: int, note: str) -> _Pack:
 def _build_t15(runs: list[tuple[int, int]], n: int) -> _Pack | None:
     d1 = runs[0][0]
     if runs == merge_runs([(d1, 1), (4, n - 6), (3, 5)]) and d1 % 2 == 1:
-        if d1 == 5:
-            return _l31_iii(n)
-        return _t15_inverse_lift(runs, n)
+        sub = _l31_iii(n)  # its vertex 0 is the 5-vertex (see _glue)
+        return sub if d1 == 5 else _inverse_lift(sub, 0, (d1 - 5) // 2)
     if runs == merge_runs([(4, n - 4), (3, 4)]):
         return _l31_ii(n)
     return None
@@ -457,15 +410,13 @@ def _glue(n: int, hub_heavy: bool) -> _Pack:
     def piece(n: int, off: int, hub_heavy: bool) -> list[int]:
         """Write the piece on off..off+n-1; return its 3-vertices."""
         if n <= 9:
-            p = _l31_ii(n)
-            edges.extend((u + off, v + off) for u, v in p.edges)
-            for s in p.steps:  # (wheel hub or base name, vertex tuple)
-                h, vs = s.args
-                steps.append(Step(s.kind, (h if isinstance(h, str) else h + off,
-                                           tuple(v + off for v in vs))))
-            trace.extend(p.trace)
-            deg = count_degrees(n, p.edges)
-            return [v + off for v in range(n) if deg[v] == 3]
+            leaf_edges, leaf_steps, leaf_trace, threes = _leaf(n)
+            edges.extend((u + off, v + off) for u, v in leaf_edges)
+            for kind, h, vs in leaf_steps:
+                steps.append(Step(kind, (h if isinstance(h, str) else h + off,
+                                         tuple(v + off for v in vs))))
+            trace.extend(leaf_trace)
+            return [v + off for v in threes]
         k = n // 2
         trace.append(f"glue (4^{k - 4},3^4) and (4^{n - k - 4},3^4) "
                      + ("raising one 4-vertex to degree 5" if hub_heavy
@@ -480,6 +431,16 @@ def _glue(n: int, hub_heavy: bool) -> _Pack:
     return _Pack(edges, steps, trace)
 
 
+@functools.cache
+def _leaf(n: int) -> tuple[tuple, tuple, tuple, tuple]:
+    """_glue's piece _l31_ii(n), n = 5..9: edges, steps as (kind, wheel hub
+    or base name, vertices), trace and 3-vertices."""
+    p = _l31_ii(n)
+    deg = count_degrees(n, p.edges)
+    return (tuple(p.edges), tuple((s.kind, *s.args) for s in p.steps),
+            tuple(p.trace), tuple(v for v in range(n) if deg[v] == 3))
+
+
 def _w4_block(cross: list[tuple[int, int]], note: str) -> _Pack:
     """Wheel W4 on 0..4 joined by three cross edges to a near-complete
     block on 5..8."""
@@ -490,25 +451,23 @@ def _w4_block(cross: list[tuple[int, int]], note: str) -> _Pack:
     return _Pack(edges, steps, [note])
 
 
-def _t15_inverse_lift(runs: list[tuple[int, int]], n: int) -> _Pack:
-    """(d1, 4^(n-6), 3^5) with odd d1 >= 7: start from the d1 = 5 member
-    and pull (d1-5)/2 disjoint far edges onto the 5-vertex."""
-    need = (runs[0][0] - 5) // 2
-    sub = _l31_iii(n)
-    u = 0  # the 5-vertex of every _l31_iii(n) (see _glue)
+def _inverse_lift(sub: _Pack, u: int, need: int) -> _Pack:
+    """Pull `need` disjoint edges of `sub` away from u's closed
+    neighbourhood onto u, raising its degree by 2 * need; each lift step
+    undoes one before `sub`'s own steps."""
     closed = {x for e in sub.edges if u in e for x in e}
     far = [(a, b) for a, b in sub.edges if a not in closed and b not in closed]
     picked = _disjoint_edges(far, need)
+    onto = f"the {len(closed) - 1}-vertex"
     if len(picked) < need:
         raise ConstructionError(
-            f"not enough disjoint edges away from the 5-vertex in "
-            f"{render_runs(runs)}")
+            f"{len(picked)} of {need} disjoint edges away from {onto} {u}")
     dropped = set(picked)
     edges = [e for e in sub.edges if e not in dropped]
     edges += [(u, x) for e in picked for x in e]
     steps = [lift_step(u, a, b) for a, b in picked] + sub.steps
     return _Pack(edges, steps,
-                 [f"inverse lifts of {len(picked)} edges onto the 5-vertex"]
+                 [f"inverse lifts of {len(picked)} edges onto {onto}"]
                  + sub.trace)
 
 

@@ -37,8 +37,9 @@ import dataclasses
 import functools
 import itertools
 from collections import Counter
+from typing import Iterable
 
-from .catalog import CERTIFIABLE_BASES, base_graph, wheel
+from .catalog import CERTIFIABLE_BASES, base_graph
 from .graph import Multigraph, find_even_wheel_in, is_triangularly_connected
 
 
@@ -240,8 +241,8 @@ def _apply_step(state: _State, step: Step) -> str | None:
         center, rim = step.args
         if len(rim) < 4 or len(rim) % 2 != 0:
             return "rim must have even length >= 4"
-        return _contract(state, (center, *rim),
-                         Counter(wheel(len(rim)).edges), "spoke or rim")
+        return _contract(state, (center, *rim), _wheel_pattern(len(rim)),
+                         "spoke or rim")
     if step.kind == "contract-base":
         name, vertices = step.args
         if name not in CERTIFIABLE_BASES:
@@ -249,7 +250,7 @@ def _apply_step(state: _State, step: Step) -> str | None:
         base = base_graph(name)
         if len(vertices) != base.n:
             return f"base {name} needs {base.n} vertices"
-        return _contract(state, vertices, Counter(base.edges), "base")
+        return _contract(state, vertices, Counter(base.edges).items(), "base")
     if step.kind == "absorb":
         (v,) = step.args
         if not state.valid_vertex(v):
@@ -276,29 +277,41 @@ def _apply_step(state: _State, step: Step) -> str | None:
 
 
 # The edges a lift u v w needs, uv and uw, and the pattern a 2-cycle
-# contracts, K2 taken twice, as edge -> multiplicity maps.
-_LIFT = {(0, 1): 1, (0, 2): 1}
-_TWO_CYCLE = {(0, 1): 2}
+# contracts, K2 taken twice, as (edge, multiplicity) pairs.
+_LIFT = (((0, 1), 1), ((0, 2), 1))
+_TWO_CYCLE = (((0, 1), 2),)
 
 
-def _check(state: _State, vertices, pattern: dict[tuple[int, int], int],
+def _wheel_pattern(k: int):
+    """Wheel W_k's edges in `catalog.wheel` order, each needed once, read
+    lazily: a kept map of W_(10^6) would hold about 290 MB."""
+    for i in range(1, k + 1):
+        yield (0, i), 1
+    for i in range(1, k):
+        yield (i, i + 1), 1
+    yield (1, k), 1
+
+
+def _check(state: _State, vertices,
+           pattern: Iterable[tuple[tuple[int, int], int]],
            what: str) -> str | None:
     """An error unless `vertices` name distinct live classes and, for each
-    edge (a, b) of `pattern`, the classes of vertices[a] and vertices[b]
-    share at least pattern[a, b] edges; a missing one is named a `what`
-    edge."""
+    ((a, b), need) of `pattern`, the classes of vertices[a] and
+    vertices[b] share at least `need` edges; a missing one is named a
+    `what` edge."""
     for x in vertices:
         if not state.valid_vertex(x):
             return f"vertex {x} invalid"
     if len({state.find(x) for x in vertices}) != len(vertices):
         return "step vertices must be distinct classes"
-    for (a, b), need in pattern.items():
+    for (a, b), need in pattern:
         if state.multiplicity(vertices[a], vertices[b]) < need:
             return f"missing {what} edge ({vertices[a]},{vertices[b]})"
     return None
 
 
-def _contract(state: _State, vertices, pattern: dict[tuple[int, int], int],
+def _contract(state: _State, vertices,
+              pattern: Iterable[tuple[tuple[int, int], int]],
               what: str) -> str | None:
     """Merge the classes of `vertices` into one, named after the last,
     once they hold `pattern`, a Z3-connected graph on 0..k-1."""

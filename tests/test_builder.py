@@ -7,7 +7,7 @@ import z3conn.builder
 import z3conn.enumerate
 import z3conn.seqcore
 from z3conn.builder import (_RESIDUAL_NOTES, ConstructionError, _disjoint_edges,
-                            realize)
+                            _inverse_lift, _l31_i, realize)
 from z3conn.graph import Multigraph
 from z3conn.reducer import parse_certificate, replay
 from z3conn.seqcore import (Classification, DegreeSequence, Kind, Route,
@@ -157,11 +157,11 @@ def test_every_route_builds_one_graph(monkeypatch):
             ("(999,4^600,3^399)", Route.T12, "d1=n-1 with d3>=4"),
             ("(998,4,3^998)", Route.L41, "(4^2,3^4) base sharing"),
             ("(999,4,3^999)", Route.L41, "near-complete 4-block, odd"),
-            ("(998,6,3^998)", Route.L41, "independent set of 2"),
+            ("(998,6,3^998)", Route.L41, "1 edges onto the 4-vertex"),
             ("(997,5,3^998)", Route.T14, "two 3-fans"),
             ("(997,4^2,3^997)", Route.T14, "3-fans on two rim vertices"),
-            ("(997,7,3^998)", Route.T14, "independent set of 3, even"),
-            ("(996,7,3^997)", Route.T14, "independent set of 4, odd"),
+            ("(997,7,3^998)", Route.T14, "1 edges onto the 5-vertex"),
+            ("(996,9,3^997)", Route.T14, "2 edges onto the 5-vertex"),
             ("(4^996,3^4)", Route.T15, "on two 3-vertex pairs"),
             ("(5,4^994,3^5)", Route.T15, "raising one 4-vertex"),
             ("(7,4^994,3^5)", Route.T15, "inverse lifts of 1 edges"),
@@ -222,6 +222,39 @@ def test_inverse_lift_family_is_realized():
                 assert is_z3_connected(res.graph), seq.render()
             checked += 1
     assert checked == 256
+
+
+def test_heavy_d2_shapes_are_inverse_lifts():
+    # L41's (n-2, d2, 3^(n-2)) with even d2 >= 6 lifts (d2-4)/2 far edges
+    # onto the 4-vertex of (n-2, 4, 3^(n-2)); T14's (n-3, d2, 3^(n-2))
+    # with odd d2 >= 7 lifts (d2-5)/2 onto the 5-vertex of its two 3-fans
+    checked = 0
+    for n in range(8, 61):
+        for route, d1, d2s, base in [
+                (Route.L41, n - 2, range(6, n - 1, 2), 4),
+                (Route.T14, n - 3, range(7, n - 2, 2), 5)]:
+            for d2 in d2s:
+                seq = DegreeSequence((d1, d2) + (3,) * (n - 2))
+                assert classify(seq).route is route, seq.render()
+                res = realize(seq)
+                assert replay(res.graph, res.certificate).ok, seq.render()
+                assert res.graph.degree_sequence() == seq, seq.render()
+                assert res.trace[0] == (f"inverse lifts of {(d2 - base) // 2} "
+                                        f"edges onto the {base}-vertex")
+                if n <= 14:
+                    assert is_z3_connected(res.graph), seq.render()
+                checked += 1
+    assert checked == 1405
+
+
+def test_inverse_lift_without_enough_far_edges_raises():
+    # the 4-vertex 1 of (6,4,3^6) has two far edges, (0,3) and (0,6),
+    # which share vertex 0: one lift fits, two do not
+    one = _inverse_lift(_l31_i(8), 1, 1)
+    assert one.trace == ["inverse lifts of 1 edges onto the 4-vertex",
+                         "fixed realization of (6,4,3^6)"]
+    with pytest.raises(ConstructionError, match="1 of 2 disjoint edges"):
+        _inverse_lift(_l31_i(8), 1, 2)
 
 
 def test_inverse_lift_at_n_3001_under_default_recursion_limit():
