@@ -38,7 +38,7 @@ import dataclasses
 import functools
 import heapq
 
-from .catalog import base_graph, wheel
+from .catalog import base_graph, wheel_edges
 from .enumerate import EnumerationCapError, first_z3_connected
 from .graph import Multigraph, count_degrees
 from .reducer import (Certificate, Step, base_step, certify, lift_step, replay,
@@ -285,7 +285,7 @@ def _l31_i(n: int) -> _Pack:
     if n % 2 == 1:
         rim = n - 5
         u1, u2, u3, u4 = n - 4, n - 3, n - 2, n - 1
-        edges = list(wheel(rim).edges)
+        edges = list(wheel_edges(rim))
         edges += [(u1, u2), (u2, u3), (u3, u4), (u1, u4), (u2, u4)]
         edges += [(0, u1), (0, u2), (0, u3)]
         steps = [wheel_step(0, tuple(range(1, rim + 1))),
@@ -337,7 +337,7 @@ def _t14_fans(n: int, anchor: int, note: str) -> _Pack:
     if n % 2 == 1:
         rim = n - 5
         s1, s2, x1, x2 = n - 4, n - 3, n - 2, n - 1
-        edges = list(wheel(rim).edges)
+        edges = list(wheel_edges(rim))
         edges += [(0, s1), (0, s2)]
         edges += [(1, x1), (s1, x1), (s2, x1)]
         edges += [(anchor, x2), (s1, x2), (s2, x2)]
@@ -346,7 +346,7 @@ def _t14_fans(n: int, anchor: int, note: str) -> _Pack:
         return _Pack(edges, steps, [f"wheel W{rim} with {note}, odd case"])
     rim = n - 6
     s1, s2, s3, x1, x2 = n - 5, n - 4, n - 3, n - 2, n - 1
-    edges = list(wheel(rim).edges)
+    edges = list(wheel_edges(rim))
     edges += [(0, s1), (0, s2), (0, s3), (1, s1)]
     edges += [(anchor, x1), (s2, x1), (s3, x1)]
     edges += [(s1, x2), (s2, x2), (s3, x2)]
@@ -371,7 +371,7 @@ def _build_t15(runs: list[tuple[int, int]], n: int) -> _Pack | None:
 def _l31_ii(n: int) -> _Pack:
     """(4^(n-4), 3^4) for n >= 5."""
     if n == 5:
-        return _Pack(list(wheel(4).edges), [wheel_step(0, (1, 2, 3, 4))],
+        return _Pack(list(wheel_edges(4)), [wheel_step(0, (1, 2, 3, 4))],
                      ["wheel W4 realizes (4,3^4)"])
     if n == 6:
         return _base_pack("fig1a", "fixed realization of (4^2,3^4)")
@@ -444,7 +444,7 @@ def _leaf(n: int) -> tuple[tuple, tuple, tuple, tuple]:
 def _w4_block(cross: list[tuple[int, int]], note: str) -> _Pack:
     """Wheel W4 on 0..4 joined by three cross edges to a near-complete
     block on 5..8."""
-    edges = list(wheel(4).edges)
+    edges = list(wheel_edges(4))
     edges += [(5, 6), (5, 7), (5, 8), (6, 7), (7, 8)]
     edges += cross
     steps = [wheel_step(0, (1, 2, 3, 4)), wheel_step(5, (6, 7, 8, 0))]

@@ -60,12 +60,19 @@ def base_graph(name: str) -> Multigraph:
     return Multigraph(n, edges)
 
 
+def wheel_edges(k: int):
+    """W_k's edges in order: the spokes 0-1..0-k, then the rim 1-2..(k-1)-k
+    and 1-k.  Lazy, so replay checks a rim of 10^6 without keeping it."""
+    for i in range(1, k + 1):
+        yield 0, i
+    for i in range(1, k):
+        yield i, i + 1
+    yield 1, k
+
+
 def wheel(k: int) -> Multigraph:
     """Wheel W_k: hub 0 joined to a k-cycle on 1..k.  Z3-connected iff k is
     even (and k >= 4); odd wheels and W_2 are not bases."""
     if k < 3:
         raise ValueError("wheel needs rim length >= 3")
-    edges = [(0, i) for i in range(1, k + 1)]
-    edges += [(i, i + 1) for i in range(1, k)]
-    edges.append((1, k))
-    return Multigraph(k + 1, tuple(edges))
+    return Multigraph(k + 1, tuple(wheel_edges(k)))

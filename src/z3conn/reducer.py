@@ -36,10 +36,9 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
-from collections import Counter
 from typing import Iterable
 
-from .catalog import CERTIFIABLE_BASES, base_graph
+from .catalog import CERTIFIABLE_BASES, base_graph, wheel_edges
 from .graph import Multigraph, find_even_wheel_in, is_triangularly_connected
 
 
@@ -139,11 +138,12 @@ class _State:
     plain dict from each neighbouring root to the number of edges between
     the two classes.  Edges inside a class vanish when it forms, and a
     deleted class leaves `adj` (its members still find its root, which
-    `valid_vertex` then rejects).  `merge` folds the class with fewer
-    neighbours into the other (small to large), so it patches only the
-    smaller side of the map.  `label[root]` is the name a class is printed
-    under, kept apart from the root: `merge(u, v)` names the merged class
-    after v's class, whichever root survives.
+    `root` then rejects).  `lift`, `merge`, `delete_class` and `degree`
+    take live roots, as `root` returns them.  `merge` folds the class with
+    fewer neighbours into the other (small to large), so it patches only
+    the smaller side of the map.  `label[root]` is the name a class is
+    printed under, kept apart from the root: `merge(ru, rv)` names the
+    merged class after rv's class, whichever root survives.
     """
 
     def __init__(self, G: Multigraph):
@@ -173,29 +173,27 @@ class _State:
         else:
             del row_a[b], row_b[a]
 
-    def valid_vertex(self, v) -> bool:
-        return (isinstance(v, int) and 0 <= v < len(self.parent)
-                and self.find(v) in self.adj)
+    def root(self, v) -> int | None:
+        """The root of v's class, or None unless v names a live class."""
+        if isinstance(v, int) and 0 <= v < len(self.parent):
+            r = self.find(v)
+            if r in self.adj:
+                return r
+        return None
 
-    def multiplicity(self, u: int, v: int) -> int:
-        return self.adj[self.find(u)].get(self.find(v), 0)
-
-    def degree(self, v: int, cap: int | None = None) -> int:
-        """Edges leaving v's class; with `cap`, a sum over only `cap` rows of
+    def degree(self, r: int, cap: int | None = None) -> int:
+        """Edges leaving class r; with `cap`, a sum over only `cap` rows of
         at least one edge each, so exact below `cap` and >= `cap` otherwise."""
-        return sum(itertools.islice(self.adj[self.find(v)].values(), cap))
+        return sum(itertools.islice(self.adj[r].values(), cap))
 
-    def lift(self, u: int, v: int, w: int):
-        ru, rv, rw = self.find(u), self.find(v), self.find(w)
+    def lift(self, ru: int, rv: int, rw: int):
         self._add(ru, rv, -1)
         self._add(ru, rw, -1)
         self._add(rv, rw, 1)
 
-    def merge(self, u: int, v: int):
-        """Merge the classes of u and v; the result keeps v's class name."""
-        ru, rv = self.find(u), self.find(v)
-        if ru == rv:
-            return
+    def merge(self, ru: int, rv: int) -> int:
+        """Merge the distinct classes ru and rv into one named after rv's
+        class; returns its root."""
         name = self.label[rv]
         small, big = sorted((ru, rv), key=lambda r: len(self.adj[r]))
         for x, count in self.adj.pop(small).items():
@@ -204,9 +202,9 @@ class _State:
                 self._add(big, x, count)
         self.parent[small] = big
         self.label[big] = name
+        return big
 
-    def delete_class(self, v: int):
-        r = self.find(v)
+    def delete_class(self, r: int):
         for x in self.adj.pop(r):
             del self.adj[x][r]
 
@@ -227,13 +225,13 @@ class _State:
 def _apply_step(state: _State, step: Step) -> str | None:
     """Apply one step, validating preconditions; returns an error or None."""
     if step.kind == "lift":
-        u, v, w = step.args
-        err = _check(state, step.args, _LIFT, "lift")
-        if err is None and (deg := state.degree(u, 4)) < 4:
-            err = f"lift center has degree {deg} < 4"
-        if err is None:
-            state.lift(u, v, w)
-        return err
+        roots = _check(state, step.args, _LIFT, "lift")
+        if isinstance(roots, str):
+            return roots
+        if (deg := state.degree(roots[0], 4)) < 4:
+            return f"lift center has degree {deg} < 4"
+        state.lift(*roots)
+        return None
     if step.kind == "contract-2cycle":
         u, v = step.args
         return _contract(state, (u, v), _TWO_CYCLE, "parallel")
@@ -241,7 +239,8 @@ def _apply_step(state: _State, step: Step) -> str | None:
         center, rim = step.args
         if len(rim) < 4 or len(rim) % 2 != 0:
             return "rim must have even length >= 4"
-        return _contract(state, (center, *rim), _wheel_pattern(len(rim)),
+        return _contract(state, (center, *rim),
+                         ((e, 1) for e in wheel_edges(len(rim))),
                          "spoke or rim")
     if step.kind == "contract-base":
         name, vertices = step.args
@@ -250,17 +249,19 @@ def _apply_step(state: _State, step: Step) -> str | None:
         base = base_graph(name)
         if len(vertices) != base.n:
             return f"base {name} needs {base.n} vertices"
-        return _contract(state, vertices, Counter(base.edges).items(), "base")
+        # every base is simple, so each edge is needed once
+        return _contract(state, vertices, ((e, 1) for e in base.edges), "base")
     if step.kind == "absorb":
         (v,) = step.args
-        if not state.valid_vertex(v):
-            return f"vertex {v} invalid"
-        deg = state.degree(v)
+        roots = _check(state, (v,), (), "absorb")
+        if isinstance(roots, str):
+            return roots
+        deg = state.degree(roots[0])
         if deg < 2:
             return f"class of {v} has only {deg} outgoing edges"
         if len(state) < 2:
             return "cannot absorb the last class"
-        state.delete_class(v)
+        state.delete_class(roots[0])
         return None
     if step.kind == "triangular":
         Q, _, _ = state.quotient()
@@ -282,32 +283,22 @@ _LIFT = (((0, 1), 1), ((0, 2), 1))
 _TWO_CYCLE = (((0, 1), 2),)
 
 
-def _wheel_pattern(k: int):
-    """Wheel W_k's edges in `catalog.wheel` order, each needed once, read
-    lazily: a kept map of W_(10^6) would hold about 290 MB."""
-    for i in range(1, k + 1):
-        yield (0, i), 1
-    for i in range(1, k):
-        yield (i, i + 1), 1
-    yield (1, k), 1
-
-
 def _check(state: _State, vertices,
            pattern: Iterable[tuple[tuple[int, int], int]],
-           what: str) -> str | None:
-    """An error unless `vertices` name distinct live classes and, for each
-    ((a, b), need) of `pattern`, the classes of vertices[a] and
-    vertices[b] share at least `need` edges; a missing one is named a
-    `what` edge."""
-    for x in vertices:
-        if not state.valid_vertex(x):
-            return f"vertex {x} invalid"
-    if len({state.find(x) for x in vertices}) != len(vertices):
+           what: str) -> list[int] | str:
+    """The roots of `vertices`' classes, each resolved once; or an error
+    unless they are distinct live classes and, for each ((a, b), need) of
+    `pattern`, classes a and b share at least `need` edges (a missing one
+    is named a `what` edge)."""
+    roots = [state.root(x) for x in vertices]
+    if None in roots:
+        return f"vertex {vertices[roots.index(None)]} invalid"
+    if len(set(roots)) != len(roots):
         return "step vertices must be distinct classes"
     for (a, b), need in pattern:
-        if state.multiplicity(vertices[a], vertices[b]) < need:
+        if state.adj[roots[a]].get(roots[b], 0) < need:
             return f"missing {what} edge ({vertices[a]},{vertices[b]})"
-    return None
+    return roots
 
 
 def _contract(state: _State, vertices,
@@ -315,11 +306,11 @@ def _contract(state: _State, vertices,
               what: str) -> str | None:
     """Merge the classes of `vertices` into one, named after the last,
     once they hold `pattern`, a Z3-connected graph on 0..k-1."""
-    err = _check(state, vertices, pattern, what)
-    if err is None:
-        for x in vertices[1:]:
-            state.merge(vertices[0], x)
-    return err
+    roots = _check(state, vertices, pattern, what)
+    if isinstance(roots, str):
+        return roots
+    functools.reduce(state.merge, roots)
+    return None
 
 
 @dataclasses.dataclass(frozen=True)

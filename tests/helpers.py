@@ -230,7 +230,7 @@ def ordered_certify(G: Multigraph, budget: int) -> tuple:
         state = copy.copy(at)
         state.parent, state.label = list(at.parent), list(at.label)
         state.adj = {r: dict(row) for r, row in at.adj.items()}
-        state.delete_class(v)
+        state.delete_class(state.find(v))
         steps = [absorb_step(v)]
     cert = Certificate(tuple(s for prefix, _, _ in frames for s in prefix) + tuple(steps))
     return True, cert.render(), budget - counter, "proved"

@@ -9,7 +9,7 @@ import z3conn.seqcore
 from z3conn.builder import (_RESIDUAL_NOTES, ConstructionError, _disjoint_edges,
                             _inverse_lift, _l31_i, realize)
 from z3conn.graph import Multigraph
-from z3conn.reducer import parse_certificate, replay
+from z3conn.reducer import _State, parse_certificate, replay
 from z3conn.seqcore import (Classification, DegreeSequence, Kind, Route,
                             classify, parse_sequence)
 from z3conn.sweep import graphic_sequences
@@ -172,6 +172,33 @@ def test_every_route_builds_one_graph(monkeypatch):
         assert res.classification.route is route, text
         assert note in res.trace[0], (text, res.trace[0])
         assert built[0] == 1, (text, built[0])
+
+
+def _named_vertices(step) -> int:
+    """How many vertices a step names: 3 per lift, 2 per 2-cycle, hub and rim per
+    wheel, one per base vertex, 1 per absorb, none for a terminal."""
+    kind, args = step.kind, step.args
+    if kind in ("contract-even-wheel", "contract-base"):
+        return isinstance(args[0], int) + len(args[1])
+    return len(args)
+
+
+@pytest.mark.parametrize("text", ["(998,996,3^998)", "(999,4^998,3)",
+                                  "(4^996,3^4)"])
+def test_replay_finds_each_named_vertex_once(monkeypatch, text):
+    # a replayed step resolves each vertex it names to its class once;
+    # the checks and the lift or merges that follow work on those roots
+    calls = [0]
+    find = _State.find
+
+    def counted(self, v):
+        calls[0] += 1
+        return find(self, v)
+
+    monkeypatch.setattr(_State, "find", counted)
+    res = run(text)
+    assert res.status == "realized" and res.proof == "certificate"
+    assert calls[0] == sum(map(_named_vertices, res.certificate.steps))
 
 
 def test_covered_sequences_need_no_search_or_oracle(monkeypatch):

@@ -99,6 +99,9 @@ def test_replay_lift_keeps_track_of_edges():
     (build_graph(1, []), (absorb_step(0), Step("done")), "outgoing"),
     (wheel(4), (Step("done"), wheel_step(0, (1, 2, 3, 4))), "terminal"),
     (wheel(4), (wheel_step(0, (1, 2, 3, 4)),), "must end"),
+    (wheel(4), (two_cycle_step(0, 9), Step("done")), "invalid"),
+    (wheel(4), parse_certificate("absorb -1\ndone").steps, "invalid"),
+    (wheel(4), (absorb_step(1), lift_step(0, 2, 1), Step("done")), "invalid"),
 ])
 def test_replay_rejects_bad_certificates(graph, steps, fragment):
     res = replay(graph, Certificate(tuple(steps)))
@@ -117,7 +120,8 @@ def test_lift_center_degree_counts_parallel_edges():
         assert _apply_step(state, lift_step(0, 1, 2)) == message
     state = _State(build_graph(6, [(0, 1), (0, 1), (0, 2), (0, 3)]))
     _apply_step(state, lift_step(0, 1, 2))
-    assert state.degree(0) == 2 and state.degree(0, 4) == 2
+    r = state.find(0)
+    assert state.degree(r) == 2 and state.degree(r, 4) == 2
 
 
 def test_replay_uses_original_labels_after_merges():
@@ -273,7 +277,9 @@ def test_certify_proofs_agree_with_oracle_on_simple_graphs(G):
 
 
 def test_certifiable_bases_are_z3_connected():
+    # replay needs each base edge once, so every base must be simple
     for name in CERTIFIABLE_BASES:
+        assert base_graph(name).is_simple(), name
         assert is_z3_connected(base_graph(name)), name
 
 
@@ -328,7 +334,7 @@ def _snapshot(state):
         key = (min(names[a], names[b]), max(names[a], names[b]))
         from_edges[key] = from_edges.get(key, 0) + 1
     assert from_edges == pairs
-    return names, pairs, {c: state.degree(c) for c in names}
+    return names, pairs, {c: state.degree(state.find(c)) for c in names}
 
 
 def test_state_matches_edge_list_model():
@@ -368,5 +374,6 @@ def test_state_matches_edge_list_model():
             assert pairs == model.pairs()
             assert degrees == {c: model.degree(c) for c in names}
             for a, b in itertools.combinations(names, 2):
-                assert state.multiplicity(a, b) == pairs.get((a, b), 0)
+                assert (state.adj[state.find(a)].get(state.find(b), 0)
+                        == pairs.get((a, b), 0))
     assert merges["first_wider"] > 20 and merges["second_wider"] > 20, merges
