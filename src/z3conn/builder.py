@@ -44,8 +44,8 @@ from .graph import Multigraph, count_degrees
 from .reducer import (Certificate, Step, base_step, certify, lift_step, replay,
                       two_cycle_step, wheel_step)
 from .seqcore import (EXCEPTION_KINDS, Classification, DegreeSequence, Kind,
-                      Route, classify, classify_shape, merge_runs,
-                      render_runs, residual_runs, run_entry)
+                      Route, classify, classify_shape, render_runs,
+                      residual_runs, run_entry)
 
 FALLBACK_LIMIT = 10 ** 6
 
@@ -163,10 +163,13 @@ def _build(seq: DegreeSequence, route: Route) -> _Pack:
         heaps.setdefault(d, []).append(v)
     v = n
     for lowered in reversed(peeled):
-        needed = [d for d, t in lowered for _ in range(t)]
-        anchors = _pick_by_degrees(heaps, needed)
-        for a, d in zip(anchors, needed):
-            heapq.heappush(heaps.setdefault(d + 1, []), a)
+        anchors = []  # lowered values are distinct: no push feeds a later pop
+        for d, t in lowered:
+            if len(heaps.get(d, ())) < t:
+                raise ConstructionError(f"no spare vertex of degree {d}")
+            anchors += [heapq.heappop(heaps[d]) for _ in range(t)]
+            for a in anchors[-t:]:
+                heapq.heappush(heaps.setdefault(d + 1, []), a)
         heapq.heappush(heaps.setdefault(len(anchors), []), v)
         pack.edges += [(a, v) for a in anchors]
         pack.steps.append(two_cycle_step(anchors[0], v))
@@ -175,16 +178,6 @@ def _build(seq: DegreeSequence, route: Route) -> _Pack:
 
 
 # ---------------------------------------------------------------- helpers
-
-def _pick_by_degrees(heaps: dict[int, list[int]], needed: list[int]) -> list[int]:
-    """Pop vertices of the needed degrees, lowest labels first."""
-    picks = []
-    for want in needed:
-        if not heaps.get(want):
-            raise ConstructionError(f"no spare vertex of degree {want}")
-        picks.append(heapq.heappop(heaps[want]))
-    return picks
-
 
 def _matching(vertices: list[int]) -> list[tuple[int, int]]:
     if len(vertices) % 2:
@@ -205,15 +198,17 @@ def _build_t12(runs: list[tuple[int, int]], n: int) -> _Pack | None:
     the residual is an exception family; those shapes are built here."""
     if runs == [(4, 5)]:
         return _base_pack("k5", "K5 realizes (4^5)")
-    if run_entry(runs, 2) == 3:
-        return _t12_flower(n, run_entry(runs, 1))
-    if n % 2 == 1 and runs == merge_runs([(n - 1, 1), (4, 2), (3, n - 3)]):
-        # paths 1-3-2, 1-4-2 and 1-5-...-(n-1)-2
+    d2, d3 = run_entry(runs, 1), run_entry(runs, 2)
+    if d3 == 3:
+        return _t12_flower(n, d2)
+    if n % 2 == 0 or d3 != 4 or run_entry(runs, 3) != 3:
+        return None
+    if d2 == 4:  # (n-1,4^2,3^(n-3)): paths 1-3-2, 1-4-2 and 1-5-...-(n-1)-2
         path = [1, *range(5, n), 2]
         h = [(1, 3), (2, 3), (1, 4), (2, 4)] + list(zip(path, path[1:]))
         return _join_pack(n, h, (1, 3, 2, 4),
                           "dominating vertex joined to a theta graph")
-    if n % 2 == 1 and runs == merge_runs([(n - 1, 2), (4, 1), (3, n - 3)]):
+    if d2 == n - 1:  # (n-1,n-1,4,3^(n-3))
         h = [(1, v) for v in range(2, n)] + [(2, 3), (2, 4)]
         h += _matching(list(range(5, n)))
         return _join_pack(n, h, (1, 3, 2, 4),
@@ -309,7 +304,7 @@ def _l31_i(n: int) -> _Pack:
 def _build_t14(runs: list[tuple[int, int]], n: int) -> _Pack | None:
     if run_entry(runs, 2) == 3:
         return _t14_two_heavy(n, run_entry(runs, 1))
-    if runs == merge_runs([(n - 3, 1), (4, 2), (3, n - 3)]):
+    if run_entry(runs, 1) == 4 and run_entry(runs, 3) == 3:
         return _t14_shape_442(n)
     return None
 
@@ -360,10 +355,10 @@ def _t14_fans(n: int, anchor: int, note: str) -> _Pack:
 
 def _build_t15(runs: list[tuple[int, int]], n: int) -> _Pack | None:
     d1 = runs[0][0]
-    if runs == merge_runs([(d1, 1), (4, n - 6), (3, 5)]) and d1 % 2 == 1:
+    if runs[1:] == [(4, n - 6), (3, 5)] and d1 % 2 == 1:
         sub = _l31_iii(n)  # its vertex 0 is the 5-vertex (see _glue)
         return sub if d1 == 5 else _inverse_lift(sub, 0, (d1 - 5) // 2)
-    if runs == merge_runs([(4, n - 4), (3, 4)]):
+    if runs == [(4, n - 4), (3, 4)]:
         return _l31_ii(n)
     return None
 

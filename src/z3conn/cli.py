@@ -3,8 +3,9 @@
 Subcommands: classify, realize, verify, certify, enumerate, sweep.
 Exit codes: 0 for a positive answer (realized, Z3-connected, certified,
 sweep clean), 1 for a negative mathematical answer (not graphic, exception
-family, not Z3-connected, no certificate found), 2 for usage, input, or
-size-limit errors, including an oracle that cannot allocate its arrays.
+family, not Z3-connected, no certificate found), 2 for usage, input,
+size-limit or missing-package errors (an oracle that cannot allocate its
+arrays, `enumerate --dedup` without networkx).
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, MemoryError,
+    except (ValueError, OSError, MemoryError, ImportError,
             builder.ConstructionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

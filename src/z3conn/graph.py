@@ -173,11 +173,12 @@ def is_triangularly_connected(G: Multigraph) -> bool:
 def parse_edgelist(text: str) -> Multigraph:
     """Parse "n m" header followed by m "tail head" lines.
 
-    Blank lines and lines starting with '#' are ignored, so serialized
-    realization output can be read back directly.
+    Blank lines and '#' lines are ignored, and a "# certificate:" line ends
+    the graph, so `realize` output, with --certify too, reads back directly.
     """
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines())
-             if ln and not ln.startswith("#")]
+    lines = [ln for ln in itertools.takewhile(
+        lambda ln: ln != "# certificate:", map(str.strip, text.splitlines()))
+        if ln and not ln.startswith("#")]
     if not lines:
         raise GraphError("empty edge list")
     head = lines[0].split()

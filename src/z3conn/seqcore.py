@@ -170,12 +170,16 @@ def run_entry(runs: list[tuple[int, int]], i: int) -> int:
 def residual_runs(runs: list[tuple[int, int]]) -> list[tuple[int, int]]:
     """`residual` in place on a nonincreasing run list, in O(runs touched).
 
-    A partly lowered run (v, c) splits into (v, c-t), (v-1, t), and equal
-    neighbouring runs merge.  Returns the lowered entries as (new value,
-    count) runs; after a SequenceError `runs` is left unspecified.
+    A partly lowered run (v, c) splits into the kept part (v, c-t) and the
+    lowered tail (v-1, t); lowered values stay distinct, so only those two
+    can merge with a neighbour.  Returns the lowered entries as (new
+    value, count) runs; after a SequenceError `runs` is left unspecified.
     """
     k, c = runs[-1]
-    runs[-1:] = merge_runs([(k, c - 1)])
+    if c == 1:
+        runs.pop()
+    else:
+        runs[-1] = (k, c - 1)
     lowered, need, j = [], k, 0
     while need:
         if j == len(runs):
@@ -187,17 +191,15 @@ def residual_runs(runs: list[tuple[int, int]]) -> list[tuple[int, int]]:
         lowered.append((v - 1, min(c, need)))
         need -= lowered[-1][1]
         j += 1
-    v, c = runs[j - 1]
-    runs[:j + 1] = merge_runs(lowered[:-1] + [(v, c - lowered[-1][1])]
-                              + lowered[-1:] + runs[j:j + 1])
+    runs[:j - 1] = lowered[:-1]
+    (v, c), (d, t) = runs[j - 1], lowered[-1]
+    kept, end = c - t, j
+    if j > 1 and runs[j - 2][0] == v:  # the kept part meets the run before
+        runs[j - 2], kept = (v, runs[j - 2][1] + kept), 0
+    if j < len(runs) and runs[j][0] == d:  # the lowered tail meets the next run
+        t, end = t + runs[j][1], j + 1
+    runs[j - 1:end] = [(v, kept)] * (kept > 0) + [(d, t)]
     return lowered
-
-
-def merge_runs(pairs) -> list[tuple[int, int]]:
-    """The run list of nonincreasing (value, count) pairs: equal neighbours
-    merge and empty runs drop."""
-    return [(v, total) for v, group in itertools.groupby(pairs, lambda p: p[0])
-            if (total := sum(c for _, c in group))]
 
 
 def residual(seq: DegreeSequence) -> DegreeSequence:

@@ -248,6 +248,19 @@ def test_certify_says_why_it_stopped_on_stderr(tmp_path):
     assert err == "certify stopped: no-rule after 193 nodes\n"
 
 
+def test_realize_certify_output_reads_back(tmp_path):
+    # the certificate section after the edges does not count as edge lines
+    code, out, _ = run_cli("realize", "--certify", "(6,4^9,3^4)")
+    assert code == 0 and "# certificate:" in out
+    path = tmp_path / "g14.txt"
+    path.write_text(out)
+    code, out, _ = run_cli("verify", str(path))
+    assert code == 0
+    assert "z3_connected=true" in out.splitlines()
+    code, _, _ = run_cli("certify", str(path))
+    assert code == 0
+
+
 def test_enumerate_command():
     code, out, _ = run_cli("enumerate", "(3^4)")
     assert code == 0
@@ -265,6 +278,13 @@ def test_enumerate_command():
     code, out, err = run_cli("enumerate", "(3^4)", "--limit", "-1")
     assert (code, out) == (2, "")
     assert "limit must be nonnegative" in err
+
+
+def test_enumerate_dedup_without_networkx_is_an_error(monkeypatch):
+    monkeypatch.setitem(sys.modules, "networkx", None)  # import fails
+    code, out, err = run_cli("enumerate", "--dedup", "(4,3^6)")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "networkx" in err
 
 
 @pytest.mark.parametrize("text, name", [("(4,3^6)", "dedup_4_3x6.txt"),

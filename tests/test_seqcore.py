@@ -156,8 +156,9 @@ def long_run_sequences(draw):
 @settings(max_examples=150, deadline=None)
 @given(long_run_sequences())
 @example((5, 5, 5, 2, 2))  # a partly lowered run splits
-@example((5, 4, 4, 3, 3, 3))  # lowered runs merge into the next run
-@example((5, 4, 4, 4, 2))  # a lowered run merges into a run's remainder
+@example((5, 4, 4, 3, 3, 3))  # the lowered tail meets the next run
+@example((5, 4, 4, 4, 2))  # the kept part meets the fully lowered run before
+@example((5, 4, 4, 3, 2))  # both merges in one step
 @example((4, 4, 4, 4, 3))  # the last run empties
 @example((2999,) + (3,) * 2999)  # exception (k, 3^k)
 @example((2999, 2999) + (3,) * 2998)  # exception (k, k, 3^(k-1))
