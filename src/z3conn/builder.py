@@ -28,9 +28,9 @@ Constructions return an edge list with its reduction certificate: lift
 and contraction steps that collapse the graph to one vertex.  Steps of
 separately built pieces compose (merging never deletes vertices, so edges
 added between pieces survive until their turn), and each re-attached
-vertex adds one 2-cycle contraction.  `realize` builds and validates the
-one graph, then proves it by replaying the certificate; only the
-out-of-coverage fallback search relies on the certifier or the oracle.
+vertex adds one 2-cycle contraction.  `realize` validates the one graph on
+its replay state's class map and replays the certificate on that state;
+only the out-of-coverage fallback search uses the certifier or the oracle.
 """
 from __future__ import annotations
 
@@ -41,8 +41,8 @@ import heapq
 from .catalog import base_graph, wheel_edges
 from .enumerate import EnumerationCapError, first_z3_connected
 from .graph import Multigraph, count_degrees
-from .reducer import (Certificate, Step, base_step, certify, lift_step, replay,
-                      two_cycle_step, wheel_step)
+from .reducer import (Certificate, Step, _replay, _State, base_step, certify,
+                      lift_step, two_cycle_step, wheel_step)
 from .seqcore import (EXCEPTION_KINDS, Classification, DegreeSequence, Kind,
                       Route, classify, classify_shape, render_runs,
                       residual_runs, run_entry)
@@ -96,9 +96,10 @@ def realize(seq: DegreeSequence) -> RealizationResult:
     if c.kind == Kind.COVERED:
         pack = _build(seq, c.route)
         G = Multigraph(seq.n, tuple(pack.edges))
-        _validate(seq, G)
+        state = _State(G)
+        _validate(seq, G, state)
         cert = Certificate(tuple(pack.steps) + (Step("done"),))
-        rr = replay(G, cert)
+        rr = _replay(state, cert)
         if not rr.ok:
             raise ConstructionError(
                 f"built certificate failed replay at step {rr.failed_step}: "
@@ -125,10 +126,14 @@ def realize(seq: DegreeSequence) -> RealizationResult:
         (f"out-of-coverage fallback search: candidate {tried} verified",))
 
 
-def _validate(seq: DegreeSequence, G: Multigraph):
-    if not G.is_simple():
+def _validate(seq: DegreeSequence, G: Multigraph, state: _State):
+    """Check G against seq on its replay state before any step: each row
+    holds one vertex's distinct neighbours, so G (loop-free) is simple when
+    the rows hold 2m entries, and then a row's length is its degree."""
+    rows = state.adj.values()
+    if sum(map(len, rows)) != 2 * G.m:
         raise ConstructionError(f"construction for {seq.render()} not simple")
-    if G.degree_sequence() != seq:
+    if tuple(sorted(map(len, rows), reverse=True)) != seq.degrees:
         raise ConstructionError(
             f"construction degrees {G.degree_sequence().render()} "
             f"!= {seq.render()}")
@@ -161,19 +166,19 @@ def _build(seq: DegreeSequence, route: Route) -> _Pack:
     heaps: dict[int, list[int]] = {}  # labels by degree, min-heaps
     for v, d in enumerate(count_degrees(n, pack.edges)):
         heaps.setdefault(d, []).append(v)
-    v = n
-    for lowered in reversed(peeled):
+    for v, lowered in enumerate(reversed(peeled), n):
         anchors = []  # lowered values are distinct: no push feeds a later pop
         for d, t in lowered:
-            if len(heaps.get(d, ())) < t:
+            heap, up = heaps.get(d, ()), heaps.setdefault(d + 1, [])
+            if len(heap) < t:
                 raise ConstructionError(f"no spare vertex of degree {d}")
-            anchors += [heapq.heappop(heaps[d]) for _ in range(t)]
-            for a in anchors[-t:]:
-                heapq.heappush(heaps.setdefault(d + 1, []), a)
+            got = [heapq.heappop(heap) for _ in range(t)]
+            for a in got:
+                heapq.heappush(up, a)
+            anchors += got
         heapq.heappush(heaps.setdefault(len(anchors), []), v)
-        pack.edges += [(a, v) for a in anchors]
+        pack.edges += zip(anchors, [v] * len(anchors))
         pack.steps.append(two_cycle_step(anchors[0], v))
-        v += 1
     return _Pack(pack.edges, pack.steps, trace + pack.trace)
 
 

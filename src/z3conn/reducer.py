@@ -143,15 +143,18 @@ class _State:
     fewer neighbours into the other (small to large), so it patches only
     the smaller side of the map.  `label[root]` is the name a class is
     printed under, kept apart from the root: `merge(ru, rv)` names the
-    merged class after rv's class, whichever root survives.
+    merged class after rv's class, whichever root survives.  `realize`
+    validates a built graph on a fresh state's rows, then replays on it.
     """
 
     def __init__(self, G: Multigraph):
         self.parent = list(range(G.n))
         self.label = list(range(G.n))
-        self.adj: dict[int, dict[int, int]] = {v: {} for v in range(G.n)}
+        adj: dict[int, dict[int, int]] = {v: {} for v in range(G.n)}
         for u, v in G.edges:
-            self._add(u, v, 1)
+            row = adj[u]
+            row[v] = adj[v][u] = row.get(v, 0) + 1
+        self.adj = adj
 
     def __len__(self) -> int:
         """Number of live classes."""
@@ -194,12 +197,14 @@ class _State:
     def merge(self, ru: int, rv: int) -> int:
         """Merge the distinct classes ru and rv into one named after rv's
         class; returns its root."""
-        name = self.label[rv]
-        small, big = sorted((ru, rv), key=lambda r: len(self.adj[r]))
-        for x, count in self.adj.pop(small).items():
-            del self.adj[x][small]
+        adj, name = self.adj, self.label[rv]
+        small, big = (ru, rv) if len(adj[ru]) <= len(adj[rv]) else (rv, ru)
+        big_row = adj[big]
+        for x, count in adj.pop(small).items():
+            row = adj[x]
+            del row[small]
             if x != big:
-                self._add(big, x, count)
+                row[big] = big_row[x] = big_row.get(x, 0) + count
         self.parent[small] = big
         self.label[big] = name
         return big
@@ -322,9 +327,13 @@ class ReplayResult:
 
 def replay(G: Multigraph, cert: Certificate) -> ReplayResult:
     """Validate a certificate against a graph, step by step."""
+    return _replay(_State(G), cert)
+
+
+def _replay(state: _State, cert: Certificate) -> ReplayResult:
+    """`replay` from a state that no step has touched yet."""
     if not cert.steps:
         return ReplayResult(False, None, "empty certificate")
-    state = _State(G)
     for i, step in enumerate(cert.steps):
         if step.kind in ("triangular", "done") and i != len(cert.steps) - 1:
             return ReplayResult(False, i, "terminal step before end")

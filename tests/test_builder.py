@@ -108,8 +108,8 @@ def test_certificates_scale_past_oracle_cap():
 
 def test_residual_loop_makes_no_per_step_passes(monkeypatch):
     # T12 and T14 inputs with n = 10^4 take thousands of residual steps;
-    # realize checks graphicality once and builds a fixed number of
-    # DegreeSequence objects, however many steps it takes.  The counters
+    # realize checks graphicality once and builds no DegreeSequence
+    # object, however many steps it takes.  The counters
     # raise as soon as a bound is passed, so a per-step pass fails fast.
     calls = {}
 
@@ -121,14 +121,14 @@ def test_residual_loop_makes_no_per_step_passes(monkeypatch):
             return f(*args, **kwargs)
         return wrapper
 
+    cases = [(parse_sequence("(9999,4^6000,3^3999)"), Route.T12),
+             (parse_sequence("(9997,4^7000,3^2999)"), Route.T14)]
     monkeypatch.setattr(z3conn.seqcore, "is_graphic",
                         counted("is_graphic", 1, z3conn.seqcore.is_graphic))
     monkeypatch.setattr(DegreeSequence, "__post_init__",
-                        counted("DegreeSequence", 4,
+                        counted("DegreeSequence", 0,
                                 DegreeSequence.__post_init__))
-    for text, route in [("(9999,4^6000,3^3999)", Route.T12),
-                        ("(9997,4^7000,3^2999)", Route.T14)]:
-        seq = parse_sequence(text)
+    for seq, route in cases:
         calls.clear()
         res = realize(seq)
         assert res.classification.route is route
@@ -172,6 +172,63 @@ def test_every_route_builds_one_graph(monkeypatch):
         assert res.classification.route is route, text
         assert note in res.trace[0], (text, res.trace[0])
         assert built[0] == 1, (text, built[0])
+
+
+# one shape per route construction, as in test_every_route_builds_one_graph
+_ROUTE_SHAPES = [
+    "(1000,3^1000)", "(1000,5,3^999)", "(1000,4^2,3^998)", "(1000^2,4,3^998)",
+    "(999,4^600,3^399)", "(998,4,3^998)", "(999,4,3^999)", "(998,6,3^998)",
+    "(997,5,3^998)", "(997,4^2,3^997)", "(997,7,3^998)", "(996,9,3^997)",
+    "(4^996,3^4)", "(5,4^994,3^5)", "(7,4^994,3^5)", "(22,4^995,3^4)"]
+
+
+def test_validation_makes_no_pass_of_its_own(monkeypatch):
+    # realize reads simplicity and degrees off the class map it replays
+    # on: no separate pass over the graph, and one _State per realize
+    def forbidden(self):
+        raise AssertionError("validation made a pass of its own")
+
+    for name in ("is_simple", "degree_sequence"):
+        monkeypatch.setattr(Multigraph, name, forbidden)
+    states = [0]
+    init = _State.__init__
+
+    def counted(self, G):
+        states[0] += 1
+        init(self, G)
+
+    monkeypatch.setattr(_State, "__init__", counted)
+    for text in _ROUTE_SHAPES:
+        states[0] = 0
+        assert run(text).status == "realized", text
+        assert states[0] == 1, (text, states[0])
+
+
+def _broken_t15(monkeypatch, breaks):
+    """Make the T15 builder hand `breaks` its pack's edge list to edit."""
+    build = z3conn.builder._ROUTES[Route.T15]
+
+    def broken(runs, n):
+        pack = build(runs, n)
+        breaks(pack.edges)
+        return pack
+
+    monkeypatch.setitem(z3conn.builder._ROUTES, Route.T15, broken)
+
+
+def test_validation_rejects_a_doubled_edge(monkeypatch):
+    # the doubled edge also changes two degrees: simplicity is checked first
+    _broken_t15(monkeypatch, lambda edges: edges.append(edges[0]))
+    with pytest.raises(ConstructionError,
+                       match=r"^construction for \(4\^6,3\^4\) not simple$"):
+        run("(4^6,3^4)")
+
+
+def test_validation_rejects_wrong_degrees(monkeypatch):
+    _broken_t15(monkeypatch, lambda edges: edges.pop())
+    with pytest.raises(ConstructionError, match=r"^construction degrees "
+                       r"\(4\^4,3\^6\) != \(4\^6,3\^4\)$"):
+        run("(4^6,3^4)")
 
 
 def _named_vertices(step) -> int:
