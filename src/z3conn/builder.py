@@ -81,9 +81,10 @@ def realize(seq: DegreeSequence) -> RealizationResult:
     Covered sequences always succeed with a certificate that replays (a
     failure is a bug and raises).  Out-of-coverage sequences with n <=
     ENUMERATE_N_MAX get `first_z3_connected` over at most FALLBACK_LIMIT
-    labeled realizations.  When it finds none the status is "unsupported",
-    never a wrong negative, and the trace says whether every realization
-    was checked or the limit stopped the search.
+    realizations up to swapping twin vertices (it returns the first
+    Z3-connected labeled realization).  When it finds none the status is
+    "unsupported", never a wrong negative, and the trace says whether every
+    candidate was checked or the limit stopped the search.
     """
     c = classify(seq)
     if c.kind == Kind.NOT_GRAPHIC:
@@ -117,8 +118,8 @@ def realize(seq: DegreeSequence) -> RealizationResult:
         why = (f"checked all {tried}" if tried < FALLBACK_LIMIT
                else f"stopped at its limit of {FALLBACK_LIMIT}")
         return RealizationResult(seq, c, "unsupported", trace=(
-            f"out of coverage; fallback search {why} labeled realizations, "
-            "none Z3-connected",))
+            f"out of coverage; fallback search {why} realizations up to "
+            "swapping twin vertices, none Z3-connected",))
     found = certify(G)
     return RealizationResult(
         seq, c, "realized", G, found.certificate,

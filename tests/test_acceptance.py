@@ -90,13 +90,22 @@ def test_criterion_3_construction_sweep():
 
 
 def test_criterion_4_exception_confirmation():
+    # every member of (n-3,3^(n-1)), (k,3^k) and (k^2,3^(k-1)) (k odd) up
+    # to the enumeration cap of 12 vertices
     start = time.time()
+    members = {f"({n - 3},3^{n - 1})" for n in range(6, 13)}
+    members |= {f"({k},3^{k})" for k in range(3, 12, 2)}
+    members |= {f"({k}^2,3^{k - 1})" for k in range(3, 12, 2)}
+    seqs = {parse_sequence(text) for text in members}
+    assert len(seqs) == 16
     for text in ["(3^4)", "(5,3^5)", "(5^2,3^4)", "(3^6)", "(4,3^6)"]:
-        assert verify_exception(parse_sequence(text)), text
+        assert parse_sequence(text) in seqs, text
+    for s in sorted(seqs, key=lambda s: (s.n, s.degrees)):
+        assert verify_exception(s), s.render()
     elapsed = time.time() - start
     assert elapsed < 120.0
     print(f"ACCEPTANCE 4 exception families confirmed: PASS "
-          f"(5 families, {elapsed:.1f}s)")
+          f"({len(seqs)} sequences with n <= 12, {elapsed:.1f}s)")
 
 
 def test_criterion_5_flow_equivalence_corpus():

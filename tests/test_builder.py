@@ -393,15 +393,25 @@ def test_out_of_coverage_fallback_positive():
         assert is_z3_connected(res.graph)
 
 
+def test_out_of_coverage_fallback_finds_a_tight_sequence():
+    # tight (m = 2n - 2) and out of coverage: the fallback tries 1 013
+    # candidates before the first Z3-connected one, which check_realized
+    # confirms with the oracle
+    res = check_realized("(5^2,4^3,3^6)")
+    assert res.classification.kind == Kind.OUT_OF_COVERAGE
+    assert res.trace == ("out-of-coverage fallback search: candidate 1013 "
+                         "verified",)
+
+
 def test_out_of_coverage_fallback_exhaustion():
     # every realization fails verification; search reports honestly
-    for text, total in [("(3^4,2)", 6), ("(4^2,3^2,2^2)", 17)]:
+    for text, total in [("(3^4,2)", 3), ("(4^2,3^2,2^2)", 7)]:
         res = run(text)
         assert res.classification.kind == Kind.OUT_OF_COVERAGE
         assert res.status == "unsupported"
         assert res.trace == (
-            f"out of coverage; fallback search checked all {total} labeled "
-            "realizations, none Z3-connected",)
+            f"out of coverage; fallback search checked all {total} "
+            "realizations up to swapping twin vertices, none Z3-connected",)
 
 
 def test_out_of_coverage_trace_names_the_search_limit(monkeypatch):
@@ -409,7 +419,8 @@ def test_out_of_coverage_trace_names_the_search_limit(monkeypatch):
     res = run("(4^2,3^2,2^2)")
     assert res.status == "unsupported"
     assert res.trace == ("out of coverage; fallback search stopped at its "
-                         "limit of 5 labeled realizations, none Z3-connected",)
+                         "limit of 5 realizations up to swapping twin "
+                         "vertices, none Z3-connected",)
 
 
 def test_out_of_coverage_beyond_search_size():

@@ -126,10 +126,41 @@ def test_verify_exception_families():
 def test_first_z3_connected_scans_in_labeled_order():
     s = seq("(5,4,3^3,2)")
     G, tried = first_z3_connected(s)
-    assert tried == 4
+    assert tried == 3
     assert G == list(all_realizations(s))[3] and is_z3_connected(G)
-    assert first_z3_connected(s, limit=3) == (None, 3)
-    assert first_z3_connected(seq("(5,3^5)")) == (None, 12)
+    assert first_z3_connected(s, limit=2) == (None, 2)
+    assert first_z3_connected(seq("(5,3^5)")) == (None, 1)
     assert first_z3_connected(DegreeSequence((3, 3, 1, 1))) == (None, 0)
     with pytest.raises(EnumerationCapError):
         first_z3_connected(seq("(3^14)"))
+
+
+def sequences_with_positive_degrees(n):
+    for degrees in itertools.combinations_with_replacement(range(n - 1, 0, -1), n):
+        if is_graphic(degrees):
+            yield DegreeSequence(degrees)
+
+
+def test_twin_pruning_keeps_the_first_graph_of_every_class():
+    # the twin-pruned search behind first_z3_connected and dedup=True must
+    # find what a scan of every labeled realization finds
+    import networkx as nx
+    checked = 0
+    for n in range(1, 8):
+        for s in sequences_with_positive_degrees(n):
+            want = next((G for G in all_realizations(s) if is_z3_connected(G)),
+                        None)
+            assert first_z3_connected(s)[0] == want, s.render()
+            checked += 1
+            if n > 6:
+                continue
+            reps, classes = [], []
+            for G in all_realizations(s):
+                H = nx.Graph()
+                H.add_nodes_from(range(n))
+                H.add_edges_from(G.edges)
+                if not any(nx.is_isomorphic(H, K) for K in classes):
+                    classes.append(H)
+                    reps.append(G)
+            assert list(all_realizations(s, dedup=True)) == reps, s.render()
+    assert checked == 341
