@@ -2,7 +2,7 @@
 triangular-connectivity checks the reduction certifier runs, and
 edge-list / DOT serialization.  The reduction rules themselves, lifting
 and contraction, act on the certifier's class map (`reducer._State`),
-not on this type.
+not on this type, and the triangular check runs on that map's rows.
 
 Edges are stored as an ordered tuple of (tail, head) pairs; the pair order
 is only a reference orientation, the graph is undirected.  Parallel edges
@@ -62,6 +62,14 @@ class Multigraph:
     def neighbors(self, v: int) -> list[int]:
         """Distinct neighbors of v, ascending."""
         return sorted(self.neighbor_sets()[v])
+
+    def adjacency(self) -> dict[int, dict[int, int]]:
+        """Each vertex's {neighbour: number of edges} dict."""
+        adj: dict[int, dict[int, int]] = {v: {} for v in range(self.n)}
+        for u, v in self.edges:
+            row = adj[u]
+            row[v] = adj[v][u] = row.get(v, 0) + 1
+        return adj
 
     def neighbor_sets(self) -> list[set[int]]:
         """Each vertex's set of distinct neighbors."""
@@ -141,15 +149,30 @@ def _find_cycle(vertices, adj, length) -> tuple[int, ...] | None:
 
 
 def is_triangularly_connected(G: Multigraph) -> bool:
-    """Whether every pair of edges is linked by a chain of cycles of length
-    at most 3 (parallel-edge 2-cycles count), and G has at least 2 edges.
+    """`triangularly_connected` on G's adjacency."""
+    return triangularly_connected(G.adjacency())
 
-    Edges of one 2-cycle or triangle are put in one class.  An edge on
-    neither stays alone in its class, so one class means every edge lies
-    on such a cycle."""
-    if G.m < 2 or not G.is_connected():
+
+def triangularly_connected(rows: dict[int, dict[int, int]]) -> bool:
+    """Whether the graph on `rows`' keys, each mapped to a {neighbour:
+    multiplicity} dict whose non-key neighbours are ignored, has at least 2
+    edges, no isolated vertex, and every two edges linked by a chain of
+    cycles of length at most 3 (parallel-edge 2-cycles count).
+
+    The union-find has a node per adjacent pair, whose edges are one 2-cycle
+    or one edge, and a triangle uvw joins pair uv to pair uw.  One class
+    left means every edge lies on such a cycle and the graph is connected."""
+    pair: dict[tuple[int, int], int] = {}
+    for u, row in rows.items():
+        kept = row.keys() & rows.keys()
+        if not kept:
+            return False
+        for v in kept:
+            if u < v:
+                pair[u, v] = len(pair)
+    if len(pair) < 2 and sum(rows[u][v] for u, v in pair) < 2:
         return False
-    parent = list(range(G.m))
+    parent = list(range(len(pair)))
 
     def find(x):
         while parent[x] != x:
@@ -157,17 +180,11 @@ def is_triangularly_connected(G: Multigraph) -> bool:
             x = parent[x]
         return x
 
-    by_pair: dict[tuple[int, int], list[int]] = {}
-    for i, (u, v) in enumerate(G.edges):
-        by_pair.setdefault((min(u, v), max(u, v)), []).append(i)
-    nbrs = G.neighbor_sets()
-    for (u, v), ids in by_pair.items():
+    for (u, v), i in pair.items():
         # each side uv of a triangle uvw joins side uw: that links all three
-        for j in ids[1:] + [by_pair[min(u, w), max(u, w)][0]
-                            for w in nbrs[u] & nbrs[v]]:
-            parent[find(j)] = find(ids[0])
-    root = find(0)
-    return all(find(i) == root for i in range(G.m))
+        for w in rows[u].keys() & rows[v].keys() & rows.keys():
+            parent[find(pair[min(u, w), max(u, w)])] = find(i)
+    return len({find(i) for i in range(len(pair))}) == 1
 
 
 def parse_edgelist(text: str) -> Multigraph:

@@ -23,13 +23,13 @@ Step kinds and their preconditions:
                         with minimum degree >= 4
   done                  terminal: remaining graph is a single vertex
 
-`replay` checks a certificate; `certify` searches for one.  Both run on the
-same `_State`, a class-adjacency map: the search reads it directly at each
-node and applies the steps it finds through the same checks as replay.
-Once no rule fits, each later state is the subgraph induced by the classes
-left, so the absorb search keys states by bitmask and does not walk one
-that already failed again.  `certify` also reports the budget it spent
-(`nodes`) and why it stopped (`reason`).
+`replay` checks a certificate; `certify` searches for one.  Both run on one
+`_State`, a class-adjacency map: the search reads it at each node and
+applies the steps it finds through replay's checks, and the triangular
+check reads its rows, so neither builds a graph.  Once no rule fits, each
+later state is the subgraph induced by the classes left, so the absorb
+search keys states by bitmask and never walks a failed one twice.
+`certify` also reports the nodes it spent and why it stopped (`reason`).
 """
 from __future__ import annotations
 
@@ -39,7 +39,7 @@ import itertools
 from typing import Iterable
 
 from .catalog import CERTIFIABLE_BASES, base_graph, wheel_edges
-from .graph import Multigraph, find_even_wheel_in, is_triangularly_connected
+from .graph import Multigraph, find_even_wheel_in, triangularly_connected
 
 
 class CertificateError(ValueError):
@@ -150,11 +150,7 @@ class _State:
     def __init__(self, G: Multigraph):
         self.parent = list(range(G.n))
         self.label = list(range(G.n))
-        adj: dict[int, dict[int, int]] = {v: {} for v in range(G.n)}
-        for u, v in G.edges:
-            row = adj[u]
-            row[v] = adj[v][u] = row.get(v, 0) + 1
-        self.adj = adj
+        self.adj = G.adjacency()
 
     def __len__(self) -> int:
         """Number of live classes."""
@@ -221,11 +217,6 @@ class _State:
         return ([self.label[r] for r in roots],
                 [{index[x]: c for x, c in self.adj[r].items()} for r in roots])
 
-    def quotient(self) -> tuple[Multigraph, list[int], list[dict[int, int]]]:
-        """Current graph on the live classes, with `rows`' names and rows."""
-        names, rows = self.rows()
-        return _induced(rows, (1 << len(rows)) - 1), names, rows
-
 
 def _apply_step(state: _State, step: Step) -> str | None:
     """Apply one step, validating preconditions; returns an error or None."""
@@ -269,10 +260,9 @@ def _apply_step(state: _State, step: Step) -> str | None:
         state.delete_class(roots[0])
         return None
     if step.kind == "triangular":
-        Q, _, _ = state.quotient()
-        if not is_triangularly_connected(Q):
+        if not triangularly_connected(state.adj):
             return "remaining graph not triangularly connected"
-        if min(Q.degrees()) < 4:
+        if min(state.degree(r, 4) for r in state.adj) < 4:
             return "remaining graph has a vertex of degree < 4"
         return None
     if step.kind == "done":
@@ -366,7 +356,7 @@ def _base_plan(name: str) -> tuple[list[set[int]], list[int]]:
 @functools.cache
 def _bases_that_fit(k: int, widest: int) -> tuple[str, ...]:
     """The certifiable bases, in order, with at most k vertices and maximum
-    degree at most `widest`: the only ones that can embed in a quotient
+    degree at most `widest`: the only ones that can embed in a class graph
     with k classes, none of which has more than `widest` neighbours."""
     fit = []
     for name in CERTIFIABLE_BASES:
@@ -377,7 +367,7 @@ def _bases_that_fit(k: int, widest: int) -> tuple[str, ...]:
 
 
 def _embed_base(name: str, qadj: list[set[int]]) -> list[int] | None:
-    """Subgraph embedding of the simple base `name` into the quotient Q
+    """Subgraph embedding of the simple base `name` into the class graph Q
     (extra edges allowed), given as each Q-vertex's set of neighbours.
 
     Returns base-vertex -> Q-vertex, or None.  Deterministic backtracking:
@@ -516,7 +506,8 @@ def _search(state: _State, counter: list[int]) -> tuple[list[Step] | None, str]:
     while True:
         path.append([x, -1, start])
         single = mask & (mask - 1) == 0
-        if single or not weak and is_triangularly_connected(_induced(rows, mask)):
+        if single or not weak and triangularly_connected(
+                {v: row for v, row in enumerate(rows) if mask >> v & 1}):
             return (steps + [absorb_step(names[node[0]]) for node in path[1:]]
                     + [Step("done" if single else "triangular")]), "proved"
         while True:
@@ -560,15 +551,6 @@ def _search(state: _State, counter: list[int]) -> tuple[list[Step] | None, str]:
                     weak |= 1 << y
                     if deg[y] < 2:
                         able &= ~(1 << y)
-
-
-def _induced(rows: list[dict[int, int]], mask: int) -> Multigraph:
-    """The graph on the rows' classes in `mask`, numbered in row order."""
-    keep = [v for v in range(len(rows)) if mask >> v & 1]
-    index = {v: i for i, v in enumerate(keep)}
-    return Multigraph(len(keep), tuple(
-        (index[u], index[v]) for u in keep for v, c in rows[u].items()
-        if u < v and v in index for _ in range(c)))
 
 
 def _must_apply(state: _State, step: Step):

@@ -165,6 +165,15 @@ def naive_shape(d) -> tuple[str, str | None, int | None]:
     return ("covered", route, None) if route else ("out_of_coverage", None, None)
 
 
+def quotient(state: _State) -> tuple[Multigraph, list[int], list[dict[int, int]]]:
+    """A replay state's current graph on its live classes, numbered in name
+    order, with `_State.rows`' names and rows."""
+    names, rows = state.rows()
+    return Multigraph(len(rows), tuple(
+        (u, v) for u, row in enumerate(rows) for v, c in row.items()
+        if u < v for _ in range(c))), names, rows
+
+
 def certify_outcome(res) -> tuple:
     """A `CertifyResult` in `ordered_certify`'s form."""
     return (res.proved, res.certificate.render() if res.proved else None,
@@ -216,7 +225,7 @@ def ordered_certify(G: Multigraph, budget: int) -> tuple:
             steps.append(step)
             continue
         degrees = [sum(row.values()) for row in rows]
-        if min(degrees) >= 4 and is_triangularly_connected(state.quotient()[0]):
+        if min(degrees) >= 4 and is_triangularly_connected(quotient(state)[0]):
             steps.append(Step("triangular"))
             break
         frames.append((steps, state,

@@ -32,7 +32,7 @@ from z3conn.verifier import (has_modular_3_orientation, is_3_flowable,
                              is_z3_connected, reachable_boundaries)
 from z3conn.sweep import run_sweep
 
-from helpers import naive_boundaries, random_multigraph
+from helpers import naive_boundaries, quotient, random_multigraph
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -150,7 +150,7 @@ def test_criterion_7_closure_rule_properties():
         """G after `step`, applied by the code that replays certificates."""
         state = _State(G)
         assert _apply_step(state, step) is None
-        return state.quotient()[0]
+        return quotient(state)[0]
 
     # lifting: Z3-connectivity of the lifted graph implies the original
     done = 0

@@ -7,7 +7,8 @@ from z3conn.catalog import base_graph, wheel
 from z3conn.graph import (WHEEL_MAX_RIM, GraphError, Multigraph, build_graph,
                           complete_bipartite, complete_graph, cycle_graph,
                           find_even_wheel, format_edgelist,
-                          is_triangularly_connected, parse_edgelist, to_dot)
+                          is_triangularly_connected, parse_edgelist, to_dot,
+                          triangularly_connected)
 
 from helpers import naive_triangularly_connected, random_multigraph
 
@@ -95,11 +96,22 @@ def multigraphs(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(multigraphs())
-def test_triangular_connectivity_matches_definition(G):
+@given(multigraphs(), st.data())
+def test_triangular_connectivity_matches_definition(G, data):
     # `ordered_certify` calls the package's check too, so the search
     # comparisons cannot catch a fault in it; this reference does not
     assert is_triangularly_connected(G) == naive_triangularly_connected(G)
+    # on rows cut down to some keys, the check sees the induced subgraph
+    keep = sorted(data.draw(st.sets(st.integers(0, G.n - 1), min_size=1)))
+    index = {v: i for i, v in enumerate(keep)}
+    rows = {v: {} for v in keep}
+    for u, v in G.edges:
+        for a, b in ((u, v), (v, u)):
+            if a in rows:
+                rows[a][b] = rows[a].get(b, 0) + 1
+    H = Multigraph(len(keep), tuple((index[u], index[v]) for u, v in G.edges
+                                    if u in index and v in index))
+    assert triangularly_connected(rows) == naive_triangularly_connected(H)
 
 
 def test_edgelist_roundtrip():

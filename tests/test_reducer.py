@@ -17,7 +17,7 @@ from z3conn.reducer import (Certificate, CertificateError, Step, _apply_step,
 from z3conn.verifier import is_z3_connected
 
 from helpers import (certify_outcome, naive_z3_connected, ordered_certify,
-                     random_cubic_graph, random_multigraph)
+                     quotient, random_cubic_graph, random_multigraph)
 
 
 def test_render_parse_roundtrip():
@@ -196,6 +196,54 @@ def test_certify_absorb_depth_is_not_bounded_by_recursion_limit():
     assert (res.proved, res.reason, res.nodes) == (False, "budget", 200)
 
 
+def antiprism(k: int, shift: int = 0) -> list[tuple[int, int]]:
+    """Edges of the antiprism on 2k vertices, moved up by `shift`: cycles
+    0..k-1 and k..2k-1, with k+i joined to i and to (i+1) mod k."""
+    edges = [(i, (i + 1) % k) for i in range(k)]
+    edges += [(k + i, k + (i + 1) % k) for i in range(k)]
+    edges += [(k + i, j) for i in range(k) for j in (i, (i + 1) % k)]
+    return [(u + shift, v + shift) for u, v in edges]
+
+
+@pytest.mark.parametrize("k", range(4, 13))
+def test_certify_proves_antiprisms_by_the_triangular_terminal(k):
+    # 4-regular with every edge on a triangle, and no 2-cycle, even wheel
+    # or base fits: the search's first node is its triangular terminal
+    G = build_graph(2 * k, antiprism(k))
+    res = certify(G)
+    assert (res.certificate.render(), res.nodes) == ("triangular\n", 1)
+    if G.n <= 14:
+        assert is_z3_connected(G)
+
+
+@pytest.mark.parametrize("k", [5, 6, 7])
+def test_certify_absorbs_down_to_an_antiprism(k):
+    # a degree-2 vertex keeps the first node off the triangular terminal;
+    # its absorb branch checks the rows of the classes it keeps
+    G = build_graph(2 * k + 1, antiprism(k, 1) + [(0, 1), (0, 1 + k // 2)])
+    res = certify(G)
+    assert (res.certificate.render(), res.nodes) == ("absorb 0\ntriangular\n", 2)
+
+
+def test_reducer_builds_no_graph(monkeypatch):
+    # the triangular check reads the class map at a replay step and at an
+    # absorb node alike; catalog bases are built once and cached, so only
+    # a warm run is counted
+    antiprisms = [build_graph(12, antiprism(6)),
+                  build_graph(13, antiprism(6, 1) + [(0, 1), (0, 4)])]
+    K5, cert = complete_graph(5), parse_certificate("triangular\n")
+
+    def run():
+        assert all(certify(G).proved for G in antiprisms)
+        assert replay(K5, cert).ok
+
+    run()
+    built = []
+    monkeypatch.setattr(Multigraph, "__post_init__", lambda G: built.append(G))
+    run()
+    assert built == []
+
+
 def test_certify_rejects_a_negative_budget():
     with pytest.raises(ValueError, match="budget"):
         certify(wheel(4), budget=-5)
@@ -326,7 +374,7 @@ class _EdgeListModel:
 
 def _snapshot(state):
     """(class names, name-pair -> multiplicity, name -> degree) of a state."""
-    Q, names, rows = state.quotient()
+    Q, names, rows = quotient(state)
     pairs = {(names[i], names[j]): k for i, row in enumerate(rows)
              for j, k in row.items() if i < j}
     from_edges = {}
