@@ -16,7 +16,7 @@ import sys
 from . import builder, enumerate as enum_mod, reducer, sweep as sweep_mod
 from .graph import format_edgelist, parse_edgelist, to_dot
 from .seqcore import EXCEPTION_KINDS, Kind, classify, parse_sequence
-from .verifier import is_3_flowable, is_z3_connected
+from .verifier import oracle_verdict
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -134,9 +134,7 @@ def _read_graph(path: str):
 
 def _cmd_verify(args) -> int:
     G = _read_graph(args.path)
-    z3 = is_z3_connected(G)
-    # a Z3-connected graph reaches every zero-sum boundary, 0 included
-    flow = z3 or is_3_flowable(G)
+    z3, flow = oracle_verdict(G)
     print(f"z3_connected={'true' if z3 else 'false'}")
     print(f"three_flowable={'true' if flow else 'false'}")
     return EXIT_OK if z3 else EXIT_NEGATIVE

@@ -14,15 +14,16 @@ itself: sorted by degree, ascending, ties by label, so the highest-degree
 vertex becomes n-1 and has no digit, and label p < n-1 has stride
 3^(n-2-p); bit i flags the zero-sum boundary with flat index i in those
 labels.  Each edge is taken at the smaller label p of its ends, in
-descending order of p, as a few shift-and-mask operations against digit
-masks cached once per n.  While the edges at label p run, every digit
-with a smaller label is still 0, so the set fits in 3^(n-1-p) bits; an int
-costs its own length, so the DP does about sum over edges of
-3^(n-1-p) bit operations rather than m * 3^(n-1), and only the
+descending order of p.  While the edges at label p run, every digit with a
+smaller label is still 0, so the set is three ints of 3^(n-2-p) flags, one
+per value of digit p: an edge moves digit p by renaming them, and its other
+end by a few shift-and-mask operations on each against digit masks cached
+once per n.  An int costs its own length, so the DP does about sum over
+edges of 3^(n-1-p) bit operations rather than m * 3^(n-1), and only the
 lowest-degree vertex's edges run at full width.  Yes/no answers stop early
-once the set is full; only `solve_boundary` keeps one int per edge, for its
-witness, which it maps back to the input edges.  `reachable_boundaries`
-runs the same DP in the input labels, so its flags index input boundaries.
+once the set is full; only `solve_boundary` keeps the slices after each
+edge, for its witness, which it maps back to the input edges.
+`reachable_boundaries` runs the same DP in the input labels.
 Every entry point refuses graphs with more than `ORACLE_N_MAX` vertices:
 the last edges run at 3^(n-1) bits, so each further vertex triples time
 and memory.
@@ -31,7 +32,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from collections.abc import Iterator
 
 from .graph import Multigraph
 
@@ -110,54 +110,49 @@ def _degree_labels(G: Multigraph) -> list[int]:
     return label
 
 
-def _layers(G: Multigraph, label) -> Iterator[tuple[int, int]]:
-    """The DP with vertex v at digit label[v]: yields (edge index, set)
-    after each edge, taking each edge at the smaller label of its ends, in
-    descending order of that label (input order among equals).
+def _reach(G: Multigraph, label=None, layers=None) -> int:
+    """Reachable zero-sum boundaries of G as an int of 3^(n-1) flags, by
+    flat index in `label` (the degree order when None).
 
-    Values 1 and 2 give +1 at one end and -1 at the other, either way
-    round, so the orientation does not matter.  Every edge so far has both
-    labels >= p, so the digits with labels below p are 0 and every operand
-    fits in 3^(n-1-p) bits: (X >> 2s) & m0 and X & m0 are as short as X,
-    and no step builds a full-width mask."""
+    At label p the set is slices S0, S1, S2 of s = 3^(n-2-p) flags, by
+    digit p.  Values 1 and 2 give +1 at one end and -1 at the other, either
+    way round, so an edge to digit q rotates each slice by -1 (D) and +1
+    (U) at q and sets S'_a = D_(a-1) | U_(a+1); an edge to vertex n-1 sets
+    S'_a = S_(a-1) | S_(a+1).  A lower label joins the slices into one int,
+    its slice 0.  With `layers`, appends (edge index, s, slices) after each
+    edge; else stops once the set is full, which more edges keep full, and
+    tests that only once the k edges so far give 2^k >= 3^(n-1)."""
+    if label is None:
+        label = _degree_labels(G)
     masks = _masks(G.n)
     plan = []
     for i, (u, v) in enumerate(G.edges):
         p, q = sorted((label[u], label[v]))
-        plan.append((p, i, masks[p], masks[q] if q < len(masks) else None))
-    plan.sort(key=lambda t: -t[0])
-    S = 1  # no edges yet: only the all-zero boundary (flat index 0)
-    for _, i, (s, m0), far in plan:
-        X = Y = S  # an edge to vertex n-1 moves digit p alone
-        if far is not None:  # X: -1 at the far digit, Y: +1 there
-            t, n0 = far
-            lo = S & n0
-            X = ((S ^ lo) >> t) | (lo << 2 * t)
-            hi = (S >> 2 * t) & n0
-            Y = ((S ^ (hi << 2 * t)) << t) | hi
-        hi = (X >> 2 * s) & m0  # then +1 at digit p on X, -1 on Y
-        X = ((X ^ (hi << 2 * s)) << s) | hi
-        lo = Y & m0
-        S = X | ((Y ^ lo) >> s) | (lo << 2 * s)
-        yield i, S
-
-
-def _reach(G: Multigraph, label=None) -> int:
-    """Reachable zero-sum boundaries of G as an int of 3^(n-1) flags, by
-    flat index in `label` (the degree order when None).
-
-    Stops once the set is full, which more edges keep full; k edges reach
-    at most 2^k states, so fullness is tested only once 2^k >= 3^(n-1)."""
-    if label is None:
-        label = _degree_labels(G)
+        plan.append((masks[p][0], i, masks[q] if q < len(masks) else None))
+    plan.sort(key=lambda t: t[0])  # descending label p: ascending stride
     size = 3 ** (G.n - 1)
-    full = (1 << size) - 1
+    full = (1 << size // 3) - 1  # one full slice at label 0
     first_check = (size - 1).bit_length()
-    S = 1
-    for k, (_, S) in enumerate(_layers(G, label), 1):
-        if k >= first_check and S == full:
+    S0, S1, S2, s = 1, 0, 0, 0
+    for k, (ps, i, far) in enumerate(plan, 1):
+        if ps != s:
+            S0, S1, S2, s = S0 | S1 << s | S2 << 2 * s, 0, 0, ps
+        if far is None:
+            S0, S1, S2 = S1 | S2, S2 | S0, S0 | S1
+        else:  # x & n0: digit q is 0; (x >> t2) & n0: digit q is 2
+            t, n0 = far
+            t2 = 2 * t
+            lo0, lo1, lo2 = S0 & n0, S1 & n0, S2 & n0
+            hi0, hi1, hi2 = (S0 >> t2) & n0, (S1 >> t2) & n0, (S2 >> t2) & n0
+            S0, S1, S2 = (
+                ((S2 ^ lo2) >> t) | lo2 << t2 | ((S1 ^ hi1 << t2) << t) | hi1,
+                ((S0 ^ lo0) >> t) | lo0 << t2 | ((S2 ^ hi2 << t2) << t) | hi2,
+                ((S1 ^ lo1) >> t) | lo1 << t2 | ((S0 ^ hi0 << t2) << t) | hi0)
+        if layers is not None:
+            layers.append((i, s, (S0, S1, S2)))
+        elif k >= first_check and S0 == full and S1 == full and S2 == full:
             break
-    return S
+    return S0 | S1 << s | S2 << 2 * s
 
 
 @dataclasses.dataclass(frozen=True)
@@ -200,37 +195,46 @@ def is_z3_connected(G: Multigraph) -> bool:
 def solve_boundary(G: Multigraph, b: ZeroSumFunction) -> FlowAssignment | None:
     """A flow with the given boundary, or None when unreachable.
 
-    Keeps one zero-sum layer per edge, in the DP's degree order, then
-    walks back from the target through them to recover one witness.
+    Keeps the slices after each edge, in the DP's degree order, then walks
+    back from the target through them to recover one witness; each step
+    moves two digits, so a candidate's flat index is the current one plus
+    those digits' changes times their strides.
     """
     _check_size(G)
     if len(b.values) != G.n:
         raise ValueError("boundary length must match vertex count")
     label = _degree_labels(G)
-    order, layers = [], [1]
-    for i, S in _layers(G, label):
-        order.append(i)
-        layers.append(S)
+    layers = [(None, 1, (1, 0, 0))]  # no edges: the zero boundary alone
+    _reach(G, label, layers)
     state = [0] * G.n
     for v, t in enumerate(b.values):
         state[label[v]] = t
-    if not layers[-1] >> _flat(state) & 1:
+    stride = [3 ** (G.n - 2 - p) for p in range(G.n - 1)] + [0]
+    index = _flat(state)
+    if not _flag(layers[-1], index):
         return None
     values = [0] * G.m
     for k in reversed(range(G.m)):
-        i = order[k]
+        i = layers[k + 1][0]
         u, v = (label[x] for x in G.edges[i])
         for a in (1, 2):
-            cand = list(state)
-            cand[u] = (cand[u] - a) % 3
-            cand[v] = (cand[v] + a) % 3
-            if layers[k] >> _flat(cand) & 1:
+            du, dv = (state[u] - a) % 3, (state[v] + a) % 3
+            cand = (index + (du - state[u]) * stride[u]
+                    + (dv - state[v]) * stride[v])
+            if _flag(layers[k], cand):
                 break
         else:
             raise RuntimeError("witness reconstruction failed")
         values[i] = a
-        state = cand
+        state[u], state[v], index = du, dv, cand
     return FlowAssignment(tuple(values))
+
+
+def _flag(layer, index: int) -> bool:
+    """Whether a stored layer (edge index, s, slices) flags `index`."""
+    _, s, slices = layer
+    a, r = divmod(index, s)
+    return a < 3 and bool(slices[a] >> r & 1)
 
 
 def has_modular_3_orientation(G: Multigraph) -> list[bool] | None:
@@ -249,3 +253,11 @@ def is_3_flowable(G: Multigraph) -> bool:
     """Whether G admits a nowhere-zero 3-flow (the zero-boundary case)."""
     _check_size(G)
     return bool(_reach(G) & 1)
+
+
+def oracle_verdict(G: Multigraph) -> tuple[bool, bool]:
+    """Whether G is Z3-connected and whether it is 3-flowable, from one DP
+    run: only a full set is Z3-connected; bit 0 flags the zero boundary."""
+    _check_size(G)
+    S = _reach(G)
+    return S == (1 << 3 ** (G.n - 1)) - 1, bool(S & 1)

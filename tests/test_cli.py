@@ -215,7 +215,7 @@ def test_verify_runs_oracle_once_on_yes_graph(tmp_path, monkeypatch, z3):
     flag = "true" if z3 else "false"
     assert code == (0 if z3 else 1)
     assert out == f"z3_connected={flag}\nthree_flowable={flag}\n"
-    assert len(calls) == (1 if z3 else 2)
+    assert len(calls) == 1
 
 
 def test_verify_missing_file():

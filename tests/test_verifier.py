@@ -233,6 +233,57 @@ def test_degree_order_matches_naive_on_every_target():
                     assert flow is None
 
 
+def _slice_transitions(G, label):
+    """The slice transitions the DP takes on G with vertex v at digit
+    label[v]: a join that skips a label with no edge to a higher one, a
+    label whose first edge goes to vertex n-1, and parallel edges."""
+    first = {}
+    for u, v in G.edges:
+        p, q = sorted((label[u], label[v]))
+        first.setdefault(p, q)
+    used = sorted(first)
+    return {"skip": any(b - a > 1 for a, b in zip(used, used[1:])),
+            "top_first": G.n - 1 in first.values(),
+            "parallel": len({frozenset(e) for e in G.edges}) < G.m}
+
+
+def test_slice_transitions_match_naive_on_every_target():
+    # the DP holds the set as three slices of its current digit; build
+    # multigraphs that take every transition between slices, in the input
+    # labels (reachable_boundaries) and in the degree order (the rest)
+    rng = random.Random(419)
+    seen = set()
+    for _ in range(24):
+        n = rng.randint(4, 8)
+        top = n - 1
+        first, gap = rng.sample(range(1, top), 2)
+        # `first` takes an edge to vertex n-1 before its other edges, and
+        # `gap` only meets smaller labels, so the DP takes no edge there
+        edges = [rng.choice(((first, top), (top, first))), (gap, 0)]
+        while len(edges) < rng.randint(6, 10):
+            u, v = rng.sample(range(n), 2)
+            if gap not in (u, v) or max(u, v) == gap:
+                edges.append((u, v))
+        edges.append(rng.choice(edges)[::rng.choice((1, -1))])
+        G = Multigraph(n, tuple(edges))
+        for order, label in (("input", range(n)),
+                             ("degree", verifier._degree_labels(G))):
+            seen |= {(order, k) for k, v
+                     in _slice_transitions(G, label).items() if v}
+        reach = naive_boundaries(G)
+        assert reach_set(G) == reach
+        assert is_3_flowable(G) == ((0,) * n in reach)
+        for b in itertools.product((0, 1, 2), repeat=n):
+            if sum(b) % 3:
+                continue
+            flow = solve_boundary(G, ZeroSumFunction(b))
+            assert (flow is None) == (b not in reach)
+            if flow is not None:
+                assert boundary(G, flow).values == b
+    assert seen == {(order, k) for order in ("input", "degree")
+                    for k in ("skip", "top_first", "parallel")}
+
+
 def test_solve_boundary_unreachable():
     G = complete_graph(4)
     assert solve_boundary(G, ZeroSumFunction((0, 0, 0, 0))) is None
