@@ -27,6 +27,18 @@ edge, for its witness, which it maps back to the input edges.
 Every entry point refuses graphs with more than `ORACLE_N_MAX` vertices:
 the last edges run at 3^(n-1) bits, so each further vertex triples time
 and memory.
+
+`is_z3_connected` answers without the DP when G is disconnected or when
+m < 2n - 2, by Lemma A: every Z3-connected loopless multigraph has
+m >= 2n - 2.  Proof: value 2 along an edge is value 1 against it, so G
+is Z3-connected iff for every zero-sum b some orientation has
+out(v) - in(v) = b(v) mod 3 at every v, that is out(v) = gamma(v) :=
+2(b(v) + deg v) mod 3; as b runs over the zero-sum targets, gamma runs
+over every gamma with sum gamma = m mod 3.  Take gamma = 2 at every
+vertex but one: an orientation that meets it has out(v) >= 2 at n - 1
+vertices, so m = sum out(v) >= 2(n - 1).  Even wheels attain
+m = 2n - 2, so the bound is sharp; the paper's exception family
+(n-3, 3^(n-1)) has m = 2n - 3.
 """
 from __future__ import annotations
 
@@ -120,8 +132,9 @@ def _reach(G: Multigraph, label=None, layers=None) -> int:
     (U) at q and sets S'_a = D_(a-1) | U_(a+1); an edge to vertex n-1 sets
     S'_a = S_(a-1) | S_(a+1).  A lower label joins the slices into one int,
     its slice 0.  With `layers`, appends (edge index, s, slices) after each
-    edge; else stops once the set is full, which more edges keep full, and
-    tests that only once the k edges so far give 2^k >= 3^(n-1)."""
+    edge; else stops once the set is full, which more edges keep full.
+    Before label 0 each slice is narrower than `full`, so the test fails
+    on the int sizes alone."""
     if label is None:
         label = _degree_labels(G)
     masks = _masks(G.n)
@@ -130,11 +143,9 @@ def _reach(G: Multigraph, label=None, layers=None) -> int:
         p, q = sorted((label[u], label[v]))
         plan.append((masks[p][0], i, masks[q] if q < len(masks) else None))
     plan.sort(key=lambda t: t[0])  # descending label p: ascending stride
-    size = 3 ** (G.n - 1)
-    full = (1 << size // 3) - 1  # one full slice at label 0
-    first_check = (size - 1).bit_length()
+    full = (1 << 3 ** (G.n - 1) // 3) - 1  # one full slice at label 0
     S0, S1, S2, s = 1, 0, 0, 0
-    for k, (ps, i, far) in enumerate(plan, 1):
+    for ps, i, far in plan:
         if ps != s:
             S0, S1, S2, s = S0 | S1 << s | S2 << 2 * s, 0, 0, ps
         if far is None:
@@ -150,7 +161,7 @@ def _reach(G: Multigraph, label=None, layers=None) -> int:
                 ((S1 ^ lo1) >> t) | lo1 << t2 | ((S0 ^ hi0 << t2) << t) | hi0)
         if layers is not None:
             layers.append((i, s, (S0, S1, S2)))
-        elif k >= first_check and S0 == full and S1 == full and S2 == full:
+        elif S0 == full and S1 == full and S2 == full:
             break
     return S0 | S1 << s | S2 << 2 * s
 
@@ -182,14 +193,13 @@ def reachable_boundaries(G: Multigraph) -> ReachableBoundaries:
 def is_z3_connected(G: Multigraph) -> bool:
     """Whether every zero-sum boundary is achievable.
 
-    Disconnected graphs are never Z3-connected and are rejected before the
-    dynamic program runs, as are graphs with 2^m < 3^(n-1): m edges reach
-    at most 2^m boundaries.
+    Graphs with m < 2n - 2 (Lemma A, in the module docstring) and
+    disconnected graphs are rejected before the dynamic program runs.
     """
     _check_size(G)
-    if not G.is_connected() or 2 ** G.m < 3 ** (G.n - 1):
+    if G.m < 2 * G.n - 2 or not G.is_connected():
         return False
-    return _reach(G) == (1 << 3 ** (G.n - 1)) - 1
+    return oracle_verdict(G)[0]
 
 
 def solve_boundary(G: Multigraph, b: ZeroSumFunction) -> FlowAssignment | None:
@@ -251,8 +261,7 @@ def has_modular_3_orientation(G: Multigraph) -> list[bool] | None:
 
 def is_3_flowable(G: Multigraph) -> bool:
     """Whether G admits a nowhere-zero 3-flow (the zero-boundary case)."""
-    _check_size(G)
-    return bool(_reach(G) & 1)
+    return oracle_verdict(G)[1]
 
 
 def oracle_verdict(G: Multigraph) -> tuple[bool, bool]:

@@ -5,7 +5,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from z3conn import verifier
+from z3conn import all_realizations, parse_sequence, verifier
 from z3conn.catalog import base_graph, wheel
 from z3conn.graph import (Multigraph, build_graph, complete_bipartite,
                           complete_graph, cycle_graph)
@@ -121,7 +121,7 @@ def test_every_zero_sum_target_at_the_dropped_axis():
     assert unreachable > 100
 
 
-def test_early_stop_and_edge_count_bound_match_naive():
+def test_early_stop_and_edge_count_bound_match_naive(monkeypatch):
     rng = random.Random(173)
     for _ in range(60):
         n = rng.randint(2, 5)
@@ -133,17 +133,67 @@ def test_early_stop_and_edge_count_bound_match_naive():
         G = Multigraph(n, tuple(edges))
         assert is_z3_connected(G) and naive_z3_connected(G)
         assert is_3_flowable(G) and (0,) * n in naive_boundaries(G)
+    sparse = []
     for _ in range(40):
         n = rng.randint(4, 6)
-        # a cycle plus few chords: 2^m < 3^(n-1) decides without the DP
+        # a cycle plus few chords: 2^m < 3^(n-1), so m edges reach fewer
+        # boundaries than there are targets
         edges = [(i, (i + 1) % n) for i in range(n)]
         while 2 ** (len(edges) + 1) < 3 ** (n - 1):
             edges.append(tuple(rng.sample(range(n), 2)))
-        G = Multigraph(n, tuple(edges))
-        assert 2 ** G.m < 3 ** (n - 1)
-        assert not is_z3_connected(G)
+        sparse.append(Multigraph(n, tuple(edges)))
+        assert 2 ** sparse[-1].m < 3 ** (n - 1)
+    for _ in range(40):
+        n = rng.randint(4, 7)
+        # a cycle plus n - 3 chords: m = 2n - 3 and 2^m >= 3^(n-1), so
+        # only the edge-count rule m < 2n - 2 (Lemma A) decides it
+        edges = [(i, (i + 1) % n) for i in range(n)]
+        edges += [tuple(rng.sample(range(n), 2)) for _ in range(n - 3)]
+        sparse.append(Multigraph(n, tuple(edges)))
+        assert 2 ** sparse[-1].m >= 3 ** (n - 1)
+
+    def no_dp(*args, **kwargs):
+        raise AssertionError("the DP ran on a graph with m < 2n - 2")
+
+    for G in sparse:
+        assert G.m < 2 * G.n - 2
+        with monkeypatch.context() as patched:
+            patched.setattr(verifier, "_reach", no_dp)
+            assert not is_z3_connected(G)
         assert not naive_z3_connected(G)
-        assert is_3_flowable(G) == ((0,) * n in naive_boundaries(G))
+        assert is_3_flowable(G) == ((0,) * G.n in naive_boundaries(G))
+
+
+def test_lemma_a_against_the_dp():
+    # Lemma A: a Z3-connected loopless multigraph has m >= 2n - 2.  Check
+    # it on the DP itself, which has no edge-count guard, and by brute
+    # force where 2^m assignments could reach all 3^(n-1) targets (m <= 10
+    # keeps the brute force under a second)
+    rng = random.Random(523)
+    naive = 0
+    for _ in range(5000):
+        n = rng.randint(2, 9)
+        m = rng.randint(n - 1, 2 * n - 3)
+        edges = [(rng.randrange(i), i) for i in range(1, n)]  # a tree
+        while len(edges) < m:
+            edges.append(tuple(rng.sample(range(n), 2)))
+        rng.shuffle(edges)
+        G = Multigraph(n, tuple(edges))
+        assert reachable_boundaries(G).flags != (1 << 3 ** (n - 1)) - 1
+        if m <= 10 and 2 ** m >= 3 ** (n - 1):
+            assert not naive_z3_connected(G)
+            naive += 1
+    assert naive > 500
+    # the bound is sharp: even wheels attain m = 2n - 2, and the DP finds
+    # no realization of the exception family (n-3, 3^(n-1)), m = 2n - 3, full
+    for k in (4, 6, 8, 10, 12):
+        G = wheel(k)
+        assert G.m == 2 * G.n - 2 and is_z3_connected(G)
+    for n in range(6, 10):
+        seq = parse_sequence(f"({n - 3},3^{n - 1})")
+        G = next(all_realizations(seq))
+        assert G.m == 2 * n - 3 and not is_z3_connected(G)
+        assert reachable_boundaries(G).flags != (1 << 3 ** (n - 1)) - 1
 
 
 def test_oracle_memory_at_n14():
