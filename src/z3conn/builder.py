@@ -387,11 +387,7 @@ def _l31_ii(n: int) -> _Pack:
 
 
 def _l31_iii(n: int) -> _Pack:
-    """(5, 4^(n-6), 3^5) for n >= 7."""
-    if n == 7:
-        return _base_pack("fig1b", "fixed realization of (5,4,3^5)")
-    if n == 8:
-        return _base_pack("fig2b", "fixed realization of (5,4^2,3^5)")
+    """(5, 4^(n-6), 3^5) for n >= 9."""
     if n == 9:
         return _w4_block([(0, 6), (1, 5), (2, 8)],
                          "wheel W4 joined to near-complete 4-block, hub-heavy")

@@ -85,8 +85,6 @@ def _assign(deg: list[int], v: int, edges: list, twin: list[bool]
         yield from _assign(deg, v + 1, edges, twin)
         return
     candidates = [u for u in range(v + 1, n) if deg[u] > 0]
-    if len(candidates) < r:
-        return
     pruned = any(twin[v + 2:])  # always False on the unpruned stream
     for combo in itertools.combinations(candidates, r):
         if pruned and any(twin[u] and u - 1 != p

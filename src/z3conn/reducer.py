@@ -24,12 +24,13 @@ Step kinds and their preconditions:
   done                  terminal: remaining graph is a single vertex
 
 `replay` checks a certificate; `certify` searches for one.  Both run on one
-`_State`, a class-adjacency map: the search reads it at each node and
-applies the steps it finds through replay's checks, and the triangular
-check reads its rows, so neither builds a graph.  Once no rule fits, each
-later state is the subgraph induced by the classes left, so the absorb
-search keys states by bitmask and never walks a failed one twice.
-`certify` also reports the nodes it spent and why it stopped (`reason`).
+`_State`, a class-adjacency map, and build no graph.  The search reads the
+map at each node, and every step it emits, absorbs and terminal included,
+passes replay's check once, in order, on the search's own state: the
+search is its own replay.  Once no rule fits, each later state is the
+subgraph induced by the classes left, so the absorb search keys states by
+bitmask and never walks a failed one twice.  `certify` also reports the
+nodes it spent and why it stopped (`reason`).
 """
 from __future__ import annotations
 
@@ -415,8 +416,9 @@ class CertifyResult:
 
 
 def certify(G: Multigraph, budget: int = 20000) -> CertifyResult:
-    """Search for a reduction certificate.  Sound but incomplete: a proved
-    result always replays; an unproved result says nothing.
+    """Search for a reduction certificate.  Sound but incomplete: each step
+    of a proved result has passed replay's check once, in order, from
+    `_State(G)`; an unproved result says nothing.
 
     Rule order per reduction state: contract a 2-cycle, contract an even
     wheel, contract an embedded catalog base, triangular-rule terminal,
@@ -431,32 +433,27 @@ def certify(G: Multigraph, budget: int = 20000) -> CertifyResult:
         return CertifyResult(False, None, 0, "disconnected")
     counter = [budget]
     steps, reason = _search(_State(G), counter)
-    nodes = budget - counter[0]
-    if steps is None:
-        return CertifyResult(False, None, nodes, reason)
-    cert = Certificate(tuple(steps))
-    check = replay(G, cert)
-    if not check.ok:
-        raise AssertionError(f"certify produced invalid certificate: {check.message}")
-    return CertifyResult(True, cert, nodes, reason)
+    cert = None if steps is None else Certificate(tuple(steps))
+    return CertifyResult(cert is not None, cert, budget - counter[0], reason)
 
 
 def _search(state: _State, counter: list[int]) -> tuple[list[Step] | None, str]:
     """Depth-first search for reduction steps from `state`, spending one
     unit of `counter` per node; returns (steps, reason) as in CertifyResult.
 
-    Each node reads the state's class-adjacency map as rows in name order
-    (`_State.rows`), without building a graph, and applies the first rule
-    that fits.  The first state R where none does roots the absorb search.
-    Absorbing only deletes a class, so each state below R is the subgraph
-    of R induced by the classes left; the 2-cycle, wheel and base searches
-    are exhaustive, so no rule fits there either, and a node below R is
-    fixed by the bitmask of R's classes it keeps.  It ends in `done` or
-    `triangular`, or branches over the classes it could absorb in name
-    order, with degrees kept incrementally and the path on an explicit
-    stack, so the recursion limit does not bound the depth.  A set of
-    classes whose subtree failed in full is not walked again: its recorded
-    node count is charged to the budget, as walking it would have been.
+    Each node reads the state's class map as rows in name order
+    (`_State.rows`) and applies the first rule that fits (`_first_rule`).
+    The first state R where none does roots the absorb search.  Absorbing
+    only deletes a class, so each state below R is the subgraph of R
+    induced by the classes left; the rule searches are exhaustive, so no
+    rule fits there either, and a node below R is fixed by the bitmask of
+    R's classes it keeps.  It ends in `done` or `triangular`, or branches
+    over the classes it could absorb in name order, with degrees kept
+    incrementally and the path on an explicit stack, so the recursion
+    limit does not bound the depth.  A set of classes whose subtree failed
+    in full is not walked again: its recorded node count is charged to the
+    budget.  Every step emitted, the absorbs and terminal of a proof
+    included, passes replay's check once, in order, on `state` itself.
     """
     steps: list[Step] = []
     while True:
@@ -464,34 +461,10 @@ def _search(state: _State, counter: list[int]) -> tuple[list[Step] | None, str]:
             return None, "budget"
         counter[0] -= 1
         names, rows = state.rows()
-        parallel = min(((i, j) for i, row in enumerate(rows)
-                        for j, c in row.items() if i < j and c >= 2), default=None)
-        if parallel is not None:
-            u, v = parallel
-            step = two_cycle_step(names[u], names[v])
-            _must_apply(state, step)
-            steps.append(step)
-            continue
-
-        nbrs = [set(row) for row in rows]
-        found = find_even_wheel_in(nbrs)
-        if found is not None:
-            hub, rim = found
-            step = wheel_step(names[hub], tuple(names[x] for x in rim))
-            _must_apply(state, step)
-            steps.append(step)
-            continue
-
-        placed = None
-        for name in _bases_that_fit(len(nbrs), max(map(len, nbrs))):
-            mapping = _embed_base(name, nbrs)
-            if mapping is not None:
-                placed = base_step(name, tuple(names[x] for x in mapping))
-                break
-        if placed is None:
+        step = _first_rule(names, rows)
+        if step is None:
             break
-        _must_apply(state, placed)
-        steps.append(placed)
+        steps.append(_must_apply(state, step))
 
     deg = [sum(row.values()) for row in rows]
     mask = (1 << len(rows)) - 1
@@ -508,8 +481,10 @@ def _search(state: _State, counter: list[int]) -> tuple[list[Step] | None, str]:
         single = mask & (mask - 1) == 0
         if single or not weak and triangularly_connected(
                 {v: row for v, row in enumerate(rows) if mask >> v & 1}):
-            return (steps + [absorb_step(names[node[0]]) for node in path[1:]]
-                    + [Step("done" if single else "triangular")]), "proved"
+            for step in [*(absorb_step(names[node[0]]) for node in path[1:]),
+                         Step("done" if single else "triangular")]:
+                steps.append(_must_apply(state, step))
+            return steps, "proved"
         while True:
             node = path[-1]
             x, last, start = node
@@ -553,7 +528,25 @@ def _search(state: _State, counter: list[int]) -> tuple[list[Step] | None, str]:
                         able &= ~(1 << y)
 
 
-def _must_apply(state: _State, step: Step):
-    err = _apply_step(state, step)
-    if err:
+def _first_rule(names: list[int], rows: list[dict[int, int]]) -> Step | None:
+    """The first rule that fits the class graph given as rows in name
+    order: a 2-cycle, then an even wheel, then an embedded catalog base."""
+    parallel = min(((i, j) for i, row in enumerate(rows)
+                    for j, c in row.items() if i < j and c >= 2), default=None)
+    if parallel is not None:
+        return two_cycle_step(*(names[x] for x in parallel))
+    nbrs = [set(row) for row in rows]
+    found = find_even_wheel_in(nbrs)
+    if found is not None:
+        return wheel_step(names[found[0]], (names[x] for x in found[1]))
+    for name in _bases_that_fit(len(nbrs), max(map(len, nbrs))):
+        mapping = _embed_base(name, nbrs)
+        if mapping is not None:
+            return base_step(name, (names[x] for x in mapping))
+    return None
+
+
+def _must_apply(state: _State, step: Step) -> Step:
+    if err := _apply_step(state, step):
         raise AssertionError(f"internal step rejected: {step.render()}: {err}")
+    return step

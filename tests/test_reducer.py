@@ -7,6 +7,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from z3conn import reducer
 from z3conn.catalog import CERTIFIABLE_BASES, base_graph, wheel
 from z3conn.graph import (Multigraph, build_graph, complete_bipartite,
                           complete_graph, cycle_graph)
@@ -18,6 +19,7 @@ from z3conn.verifier import is_z3_connected
 
 from helpers import (certify_outcome, naive_z3_connected, ordered_certify,
                      quotient, random_cubic_graph, random_multigraph)
+from test_certify_golden import corpus
 
 
 def test_render_parse_roundtrip():
@@ -242,6 +244,33 @@ def test_reducer_builds_no_graph(monkeypatch):
     monkeypatch.setattr(Multigraph, "__post_init__", lambda G: built.append(G))
     run()
     assert built == []
+
+
+def test_certify_checks_each_step_once_on_one_class_map(monkeypatch):
+    # the search is its own replay: each step of a proof, rules, absorbs
+    # and terminal alike, passes replay's check once and in order, on the
+    # one class map certify builds
+    applied, maps = [], []
+    check, adjacency = reducer._apply_step, Multigraph.adjacency
+    monkeypatch.setattr(reducer, "_apply_step",
+                        lambda state, step: applied.append(step) or check(state, step))
+    monkeypatch.setattr(Multigraph, "adjacency",
+                        lambda G: maps.append(G) or adjacency(G))
+    # the corpus proves by rules alone; antiprisms add the absorb and
+    # triangular steps
+    extra = [build_graph(12, antiprism(6)),
+             build_graph(13, antiprism(6, 1) + [(0, 1), (0, 4)])]
+    kinds = set()
+    for G, budget in corpus() + [(G, 20000) for G in extra]:
+        applied.clear()
+        maps.clear()
+        res = certify(G, budget=budget)
+        if res.proved:
+            assert applied == list(res.certificate.steps)
+            assert maps == [G]
+            kinds.update(step.kind for step in res.certificate.steps)
+    assert kinds == {"contract-2cycle", "contract-even-wheel", "contract-base",
+                      "absorb", "done", "triangular"}, kinds
 
 
 def test_certify_rejects_a_negative_budget():

@@ -63,10 +63,14 @@ def test_render_exponents():
 
 @pytest.mark.parametrize("bad", ["", "()", "(3,", "3,,4", "(3^0)", "(3^)",
                                  "a", "(3))", "3)", "((3)", "0,3", "-3",
-                                 "(3^1000001)", "(4^500000,3^500001)"])
+                                 "(3^1000001)", "(4^500000,3^500001)",
+                                 "3,4,", "(3,4,)"])
 def test_parse_rejects_malformed(bad):
     with pytest.raises(SequenceError):
         parse_sequence(bad)
+    if bad == "3,4,":
+        with pytest.raises(SequenceSyntaxError, match="trailing comma"):
+            parse_sequence(bad)
 
 
 def test_syntax_error_carries_position():

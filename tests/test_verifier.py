@@ -196,6 +196,28 @@ def test_lemma_a_against_the_dp():
         assert reachable_boundaries(G).flags != (1 << 3 ** (n - 1)) - 1
 
 
+def test_lemma_b_against_the_dp():
+    # Lemma B: if G is Z3-connected and v has degree 2, so is G - v; the
+    # converse is absorb's rule.  v's two edges go to one vertex or to two,
+    # and m runs across 2n - 2, where the DP does the work; brute force
+    # confirms both sides where m <= 10
+    rng = random.Random(2027)
+    seen = {True: 0, False: 0}
+    for _ in range(3000):
+        n = rng.randint(3, 9)
+        m = rng.randint(max(2, 2 * n - 4), 2 * n + 4)
+        v = n - 1
+        rest = tuple(tuple(rng.sample(range(v), 2)) for _ in range(m - 2))
+        a, b = rng.randrange(v), rng.randrange(v)
+        G, H = Multigraph(n, rest + ((a, v), (b, v))), Multigraph(v, rest)
+        answer = is_z3_connected(G)
+        assert answer == is_z3_connected(H), (G.edges, v)
+        if m <= 10:
+            assert naive_z3_connected(G) == answer == naive_z3_connected(H)
+        seen[answer] += 1
+    assert seen[True] > 1000 and seen[False] > 500, seen
+
+
 def test_oracle_memory_at_n14():
     G = wheel(13)  # n = 14, m = 26; odd wheel, so the DP never fills up
     state = 3 ** 13  # bytes in 8 zero-sum layers of 3^13 bits each
