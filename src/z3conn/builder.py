@@ -247,19 +247,13 @@ def _join_pack(n: int, h: list[tuple[int, int]], rim: tuple[int, ...],
                note: str) -> _Pack:
     """Vertex 0 joined to every vertex of the graph with edges h on
     1..n-1.  The certificate contracts the even wheel of 0 and rim, then
-    each other vertex v by a 2-cycle: its edge to 0 and an H-edge into the
-    merged class, taking v in breadth-first order over H from the rim."""
-    nbrs: list[set[int]] = [set() for _ in range(n)]  # in H: 0 is seen
-    for a, b in h + [(b, a) for a, b in h]:
-        nbrs[a].add(b)
-    order = list(rim)
-    seen = {0, *rim}
-    for u in order:  # grows while it is walked: a breadth-first queue
-        for v in sorted(nbrs[u] - seen):
-            seen.add(v)
-            order.append(v)
+    each later vertex v in label order by a 2-cycle: its edge to 0 and an
+    H-edge into the merged class.  Callers keep, and replay checks, that
+    the rim is 1..len(rim) and every later vertex has an H-neighbour with
+    a smaller label: the hub or the vertex before it on a petal, vertex 1
+    or the vertex before it on a theta or matching."""
     steps = [wheel_step(0, rim)]
-    steps += [two_cycle_step(0, v) for v in order[len(rim):]]
+    steps += [two_cycle_step(0, v) for v in range(len(rim) + 1, n)]
     return _Pack([(0, v) for v in range(1, n)] + h, steps, [note])
 
 

@@ -47,21 +47,11 @@ class Multigraph:
     def m(self) -> int:
         return len(self.edges)
 
-    def degree(self, v: int) -> int:
-        return sum((u == v) + (w == v) for u, w in self.edges)
-
     def degrees(self) -> list[int]:
         return count_degrees(self.n, self.edges)
 
     def degree_sequence(self) -> DegreeSequence:
         return DegreeSequence.of(self.degrees())
-
-    def edge_multiplicity(self, u: int, v: int) -> int:
-        return sum(1 for a, b in self.edges if {a, b} == {u, v})
-
-    def neighbors(self, v: int) -> list[int]:
-        """Distinct neighbors of v, ascending."""
-        return sorted(self.neighbor_sets()[v])
 
     def adjacency(self) -> dict[int, dict[int, int]]:
         """Each vertex's {neighbour: number of edges} dict."""

@@ -441,19 +441,19 @@ def _search(state: _State, counter: list[int]) -> tuple[list[Step] | None, str]:
     """Depth-first search for reduction steps from `state`, spending one
     unit of `counter` per node; returns (steps, reason) as in CertifyResult.
 
-    Each node reads the state's class map as rows in name order
-    (`_State.rows`) and applies the first rule that fits (`_first_rule`).
-    The first state R where none does roots the absorb search.  Absorbing
-    only deletes a class, so each state below R is the subgraph of R
-    induced by the classes left; the rule searches are exhaustive, so no
-    rule fits there either, and a node below R is fixed by the bitmask of
-    R's classes it keeps.  It ends in `done` or `triangular`, or branches
+    Each node reads the state's class map as rows in name order (`_State.rows`)
+    and applies the first rule that fits (`_first_rule`).  The first state R
+    where none does roots the absorb search.  Absorbing only deletes a class,
+    so each state below R is the subgraph of R induced by the classes left.
+    The rule searches are exhaustive, so no rule fits there either, and a node
+    is fixed by the bitmask of R's classes it keeps.  R has no 2-cycle, so no
+    two classes left share two edges and the last two never absorb into one:
+    only R can end in `done`.  A node below ends in `triangular` or branches
     over the classes it could absorb in name order, with degrees kept
-    incrementally and the path on an explicit stack, so the recursion
-    limit does not bound the depth.  A set of classes whose subtree failed
-    in full is not walked again: its recorded node count is charged to the
-    budget.  Every step emitted, the absorbs and terminal of a proof
-    included, passes replay's check once, in order, on `state` itself.
+    incrementally and the path on an explicit stack, so the recursion limit
+    does not bound the depth.  A failed subtree is not walked again: its node
+    count is charged to the budget.  Every step it emits, a proof's absorbs and
+    terminal too, passes replay's check once, in order, on `state`.
     """
     steps: list[Step] = []
     while True:

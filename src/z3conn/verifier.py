@@ -97,10 +97,10 @@ def _check_size(G: Multigraph):
 
 @functools.cache
 def _masks(n: int) -> tuple[tuple[int, int], ...]:
-    """Per label p < n-1: its stride s = 3^(n-2-p) and m0, the flags of
-    the states whose digit p is 0 (s ones with period 3s, grown by
-    tripling).  The DP reads a set X's digit-2 flags as (X >> 2s) & m0."""
-    size = 3 ** (n - 1)
+    """Per label p < n-1: stride s = 3^(n-2-p) and m0, the flags of states
+    with digit p 0 (s ones with period 3s, tripled to 3^(n-2) bits, the
+    widest slice); the DP reads slice X's digit-2 flags as (X >> 2s) & m0."""
+    size = 3 ** (n - 2)
     masks = []
     for p in range(n - 1):
         s = 3 ** (n - 2 - p)

@@ -156,9 +156,10 @@ def test_criterion_7_closure_rule_properties():
     done = 0
     while done < 100:
         G = random_multigraph(rng, n_max=5, m_max=12)
+        deg, nbrs = G.degrees(), [sorted(s) for s in G.neighbor_sets()]
         triples = [(u, v, w)
-                   for u in range(G.n) if G.degree(u) >= 4
-                   for v in G.neighbors(u) for w in G.neighbors(u)
+                   for u in range(G.n) if deg[u] >= 4
+                   for v in nbrs[u] for w in nbrs[u]
                    if v != w and v != u and w != u]
         if not triples:
             continue
@@ -172,8 +173,9 @@ def test_criterion_7_closure_rule_properties():
     done = 0
     while done < 100:
         G = random_multigraph(rng, n_max=5, m_max=10)
+        adj = G.adjacency()
         pairs = [(u, v) for u in range(G.n) for v in range(u + 1, G.n)
-                 if G.edge_multiplicity(u, v) >= 2]
+                 if adj[u].get(v, 0) >= 2]
         if not pairs:
             continue
         u, v = pairs[rng.randrange(len(pairs))]

@@ -6,10 +6,11 @@ from hypothesis import given, settings, strategies as st
 import z3conn.builder
 import z3conn.enumerate
 import z3conn.seqcore
-from z3conn.builder import (_RESIDUAL_NOTES, ConstructionError, _disjoint_edges,
-                            _inverse_lift, _l31_i, realize)
+from z3conn.builder import (_RESIDUAL_NOTES, ConstructionError, _build_t12,
+                            _disjoint_edges, _inverse_lift, _l31_i, realize)
 from z3conn.graph import Multigraph
-from z3conn.reducer import _State, parse_certificate, replay
+from z3conn.reducer import (Certificate, Step, _State, parse_certificate,
+                            replay)
 from z3conn.seqcore import (Classification, DegreeSequence, Kind, Route,
                             classify, parse_sequence)
 from z3conn.sweep import graphic_sequences
@@ -373,6 +374,43 @@ def test_disjoint_edges_augment_along_long_paths():
         sys.setrecursionlimit(old)
     # a triangle has no two disjoint edges
     assert _disjoint_edges([(0, 1), (1, 2), (0, 2)], 2) == [(0, 1)]
+
+
+def _t12_closed_forms(n):
+    """The d1 = n-1 shapes `_build_t12` writes as a join: the flower
+    (n-1, d2, 3^(n-2)) for each odd d2 outside the exceptions, and for odd
+    n the theta and the two-dominating shape."""
+    shapes = [[n - 1, d2] + [3] * (n - 2) for d2 in range(3, n, 2)]
+    if n % 2:
+        shapes += [[n - 1, 4, 4] + [3] * (n - 3),
+                   [n - 1, n - 1, 4] + [3] * (n - 3)]
+    for degrees in shapes:
+        seq = DegreeSequence.of(degrees)
+        if classify(seq).kind is Kind.COVERED:
+            yield seq.runs()
+
+
+def test_t12_joins_contract_in_label_order():
+    shapes = 0
+    for n in range(5, 61):
+        for runs in _t12_closed_forms(n):
+            pack = _build_t12(runs, n)
+            wheel, *rest = pack.steps
+            assert wheel.kind == "contract-even-wheel" and wheel.args[0] == 0
+            rim = wheel.args[1]
+            assert sorted(rim) == list(range(1, len(rim) + 1)), runs
+            lower = [n] * n  # each vertex's smallest H-neighbour
+            for a, b in pack.edges:
+                if a and b:
+                    lower[a], lower[b] = min(lower[a], b), min(lower[b], a)
+            assert all(lower[v] < v for v in range(len(rim) + 1, n)), runs
+            assert [s.args for s in rest] == [
+                (0, v) for v in range(len(rim) + 1, n)]
+            G = Multigraph(n, tuple(pack.edges))
+            cert = Certificate(tuple(pack.steps) + (Step("done"),))
+            assert replay(G, cert).ok, runs
+            shapes += 1
+    assert shapes == 840  # (n-3)/2 + 2 at odd n, (n-6)/2 at even n
 
 
 def test_built_certificates_parse_back():

@@ -16,10 +16,10 @@ from helpers import naive_triangularly_connected, random_multigraph
 def test_build_and_accessors():
     G = build_graph(4, [(0, 1), (0, 1), (2, 3)])
     assert G.n == 4 and G.m == 3
-    assert G.degree(0) == 2 and G.degree(2) == 1
-    assert G.edge_multiplicity(0, 1) == 2
-    assert G.edge_multiplicity(1, 0) == 2
-    assert G.neighbors(0) == [1]
+    assert G.degrees()[0] == 2 and G.degrees()[2] == 1
+    assert G.adjacency()[0][1] == 2
+    assert G.adjacency()[1][0] == 2
+    assert G.neighbor_sets()[0] == {1}
     assert not G.is_simple()
     assert G.degree_sequence().degrees == (2, 2, 1, 1)
 

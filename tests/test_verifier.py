@@ -237,6 +237,15 @@ def test_oracle_memory_at_n14():
     assert peak_witness < 3 * state
 
 
+def test_digit_masks_are_no_wider_than_a_slice():
+    # the widest slice is label 0's, 3^(n-2) flags; a mask is only ANDed
+    # with a slice, so bits above that width would never be read
+    for n in range(3, 15):
+        masks = verifier._masks(n)
+        assert len(masks) == n - 1
+        assert max(m0.bit_length() for _, m0 in masks) <= 3 ** (n - 2)
+
+
 def test_digit_masks_at_large_n_match_naive():
     # sparse multigraphs reach every digit mask up to the cap, including
     # edges at vertex n-1 (which has no digit) in both orientations
