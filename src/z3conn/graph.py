@@ -1,8 +1,9 @@
-"""Undirected multigraphs on vertices 0..n-1, the even-wheel and
-triangular-connectivity checks the reduction certifier runs, and
-edge-list / DOT serialization.  The reduction rules themselves, lifting
-and contraction, act on the certifier's class map (`reducer._State`),
-not on this type, and the triangular check runs on that map's rows.
+"""Undirected multigraphs on vertices 0..n-1, the triangular-connectivity
+check the reduction certifier runs, and edge-list / DOT serialization.
+The reduction rules themselves, lifting and contraction, and the search
+for the pieces they contract, act on the certifier's class map
+(`reducer._State`), not on this type, and the triangular check runs on
+that map's rows.
 
 Edges are stored as an ordered tuple of (tail, head) pairs; the pair order
 is only a reference orientation, the graph is undirected.  Parallel edges
@@ -85,57 +86,6 @@ class Multigraph:
 
 def build_graph(n: int, edges) -> Multigraph:
     return Multigraph(n, tuple((int(u), int(v)) for u, v in edges))
-
-
-WHEEL_MAX_RIM = 8
-
-
-def find_even_wheel(G: Multigraph) -> tuple[int, tuple[int, ...]] | None:
-    """Find a wheel subgraph with an even rim of length 4..WHEEL_MAX_RIM.
-
-    Returns (hub, rim cycle) for the first wheel found scanning hubs in
-    ascending order and rim lengths from short to long, or None.  The rim
-    is a cycle through distinct neighbors of the hub; spoke and rim edges
-    must all be present (the wheel need not be induced).
-    """
-    return find_even_wheel_in(G.neighbor_sets())
-
-
-def find_even_wheel_in(nbrs: list[set[int]]) -> tuple[int, tuple[int, ...]] | None:
-    """`find_even_wheel` on a graph given as each vertex's set of distinct
-    neighbors."""
-    for hub, nb in enumerate(nbrs):
-        if len(nb) < 4:
-            continue
-        ordered = sorted(nb)
-        for length in range(4, min(WHEEL_MAX_RIM, len(nb)) + 1, 2):
-            rim = _find_cycle(ordered, nbrs, length)
-            if rim is not None:
-                return hub, rim
-    return None
-
-
-def _find_cycle(vertices, adj, length) -> tuple[int, ...] | None:
-    """First simple cycle of exactly `length` within `vertices`, by DFS in
-    ascending label order starting from the smallest vertex on the cycle."""
-    vset = set(vertices)
-
-    def extend(path, used):
-        if len(path) == length:
-            return path if path[0] in adj[path[-1]] else None
-        for nxt in sorted(adj[path[-1]] & vset):
-            if nxt <= path[0] or nxt in used:
-                continue
-            got = extend(path + [nxt], used | {nxt})
-            if got:
-                return got
-        return None
-
-    for start in vertices:
-        got = extend([start], {start})
-        if got:
-            return tuple(got)
-    return None
 
 
 def is_triangularly_connected(G: Multigraph) -> bool:

@@ -27,10 +27,12 @@ Step kinds and their preconditions:
 `_State`, a class-adjacency map, and build no graph.  The search reads the
 map at each node, and every step it emits, absorbs and terminal included,
 passes replay's check once, in order, on the search's own state: the
-search is its own replay.  Once no rule fits, each later state is the
-subgraph induced by the classes left, so the absorb search keys states by
-bitmask and never walks a failed one twice.  `certify` also reports the
-nodes it spent and why it stopped (`reason`).
+search is its own replay.  It finds the pieces it contracts, even wheels
+and catalog bases alike, with one backtracking subgraph matcher
+(`_embed`), each piece given as a pattern graph.  Once no rule fits, each
+later state is the subgraph induced by the classes left, so the absorb
+search keys states by bitmask and never walks a failed one twice.
+`certify` also reports the nodes it spent and why it stopped (`reason`).
 """
 from __future__ import annotations
 
@@ -39,8 +41,8 @@ import functools
 import itertools
 from typing import Iterable
 
-from .catalog import CERTIFIABLE_BASES, base_graph, wheel_edges
-from .graph import Multigraph, find_even_wheel_in, triangularly_connected
+from .catalog import CERTIFIABLE_BASES, base_graph, wheel, wheel_edges
+from .graph import Multigraph, triangularly_connected
 
 
 class CertificateError(ValueError):
@@ -338,70 +340,103 @@ def _replay(state: _State, cert: Certificate) -> ReplayResult:
     return ReplayResult(True)
 
 
-@functools.cache
-def _base_plan(name: str) -> tuple[list[set[int]], list[int]]:
-    """A base's neighbour sets and its embedding order: the widest vertex
-    first, then always the vertex with most neighbours already placed."""
-    base = base_graph(name)
-    badj = base.neighbor_sets()
-    order = [max(range(base.n), key=lambda v: len(badj[v]))]
-    placed = set(order)
-    while len(order) < base.n:
-        nxt = max((v for v in range(base.n) if v not in placed),
-                  key=lambda v: (len(badj[v] & placed), len(badj[v]), -v))
-        order.append(nxt)
-        placed.add(nxt)
-    return badj, order
+def _plan(G: Multigraph) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """How `_embed` places the simple connected pattern G: one (vertex,
+    degree, anchors) entry per position, the anchors being the positions of
+    the vertex's neighbours placed before it.  The widest vertex comes
+    first, then always the vertex with most neighbours already placed (the
+    wider, then the smaller, on a tie), so W_k comes out as 0, 1, ..., k."""
+    badj = G.neighbor_sets()
+    order = [max(range(G.n), key=lambda v: len(badj[v]))]
+    while len(order) < G.n:
+        placed = set(order)
+        order.append(max((v for v in range(G.n) if v not in placed),
+                         key=lambda v: (len(badj[v] & placed), len(badj[v]), -v)))
+    return tuple((v, len(badj[v]),
+                  tuple(j for j, x in enumerate(order[:i]) if x in badj[v]))
+                 for i, v in enumerate(order))
+
+
+def _embed(plan, qadj: list[set[int]], first: int | None = None) -> list[int] | None:
+    """A subgraph embedding (extra edges allowed) of the pattern `plan`
+    describes into the class graph Q, given as each Q-vertex's set of
+    neighbours: pattern vertex -> Q-vertex, or None.
+
+    Deterministic backtracking: pattern vertices in plan order, each tried
+    on the unused Q-vertices, ascending, that are adjacent to the images of
+    its anchors and have at least its degree; the first pattern vertex on
+    every Q-vertex, or on `first` alone when given.
+    """
+    got: list[int] = []           # the images of the positions placed
+    used: set[int] = set()
+    tries = [iter(range(len(qadj)) if first is None else (first,))]
+    while True:
+        i = len(got)
+        for q in tries[i]:
+            if len(qadj[q]) >= plan[i][1]:
+                break
+        else:
+            tries.pop()
+            if not got:
+                return None
+            used.remove(got.pop())
+            continue
+        got.append(q)
+        used.add(q)
+        if len(got) == len(plan):
+            mapping = [0] * len(plan)
+            for (v, _, _), q in zip(plan, got):
+                mapping[v] = q
+            return mapping
+        anchors = plan[i + 1][2]
+        tries.append(iter(sorted(qadj[got[anchors[0]]].intersection(
+            *(qadj[got[j]] for j in anchors[1:])) - used)))
+
+
+WHEEL_MAX_RIM = 8
+# The even wheels the search contracts, as (rim length, plan), short to long.
+_WHEELS = tuple((k, _plan(wheel(k))) for k in range(4, WHEEL_MAX_RIM + 1, 2))
+
+
+def find_even_wheel(G: Multigraph) -> tuple[int, tuple[int, ...]] | None:
+    """Find a wheel subgraph with an even rim of length 4..WHEEL_MAX_RIM.
+
+    Returns (hub, rim cycle) for the first wheel found scanning hubs in
+    ascending order and rim lengths from short to long, or None.  The rim
+    is a cycle through distinct neighbors of the hub; spoke and rim edges
+    must all be present (the wheel need not be induced).  Of the rims at
+    the first hub and length, it is the lexicographically least.
+    """
+    return find_even_wheel_in(G.neighbor_sets())
+
+
+def find_even_wheel_in(nbrs: list[set[int]]) -> tuple[int, tuple[int, ...]] | None:
+    """`find_even_wheel` on a graph given as each vertex's set of distinct
+    neighbors: `_embed` of each wheel with its hub pinned."""
+    for hub, nb in enumerate(nbrs):
+        for k, plan in _WHEELS:
+            if len(nb) < k:
+                break
+            mapping = _embed(plan, nbrs, hub)
+            if mapping is not None:
+                return hub, tuple(mapping[1:])
+    return None
+
+
+# The catalog bases the search embeds, name -> plan, in catalog order.  It
+# leaves out those that hold an even wheel (k5 and k5minus): wherever one
+# embeds, the wheel rule fits first.  Replay accepts every certifiable base.
+_BASES = {name: _plan(base_graph(name)) for name in CERTIFIABLE_BASES
+          if find_even_wheel(base_graph(name)) is None}
 
 
 @functools.cache
 def _bases_that_fit(k: int, widest: int) -> tuple[str, ...]:
-    """The certifiable bases, in order, with at most k vertices and maximum
+    """The searched bases, in order, with at most k vertices and maximum
     degree at most `widest`: the only ones that can embed in a class graph
     with k classes, none of which has more than `widest` neighbours."""
-    fit = []
-    for name in CERTIFIABLE_BASES:
-        badj, order = _base_plan(name)
-        if len(order) <= k and len(badj[order[0]]) <= widest:
-            fit.append(name)
-    return tuple(fit)
-
-
-def _embed_base(name: str, qadj: list[set[int]]) -> list[int] | None:
-    """Subgraph embedding of the simple base `name` into the class graph Q
-    (extra edges allowed), given as each Q-vertex's set of neighbours.
-
-    Returns base-vertex -> Q-vertex, or None.  Deterministic backtracking:
-    base vertices in `_base_plan` order, candidates ascending.  The search
-    calls it only for `_bases_that_fit`.
-    """
-    badj, order = _base_plan(name)
-    assign: dict[int, int] = {}
-    used: set[int] = set()
-
-    def backtrack(i: int) -> bool:
-        if i == len(order):
-            return True
-        bv = order[i]
-        anchors = [qadj[assign[x]] for x in badj[bv] if x in assign]
-        if anchors:
-            cands = anchors[0].intersection(*anchors[1:]) - used
-        else:
-            cands = set(range(len(qadj))) - used
-        for qv in sorted(cands):
-            if len(qadj[qv]) < len(badj[bv]):
-                continue
-            assign[bv] = qv
-            used.add(qv)
-            if backtrack(i + 1):
-                return True
-            del assign[bv]
-            used.remove(qv)
-        return False
-
-    if backtrack(0):
-        return [assign[v] for v in range(len(order))]
-    return None
+    return tuple(name for name, plan in _BASES.items()
+                 if len(plan) <= k and plan[0][1] <= widest)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -530,7 +565,11 @@ def _search(state: _State, counter: list[int]) -> tuple[list[Step] | None, str]:
 
 def _first_rule(names: list[int], rows: list[dict[int, int]]) -> Step | None:
     """The first rule that fits the class graph given as rows in name
-    order: a 2-cycle, then an even wheel, then an embedded catalog base."""
+    order: a 2-cycle, then an even wheel, then an embedded catalog base.
+    Wheels and bases are both `_embed` of a pattern: W4, W6 and W8 with
+    the hub pinned, hubs ascending and rims short to long
+    (`find_even_wheel_in`), then the bases of `_bases_that_fit`, in
+    catalog order, on every class."""
     parallel = min(((i, j) for i, row in enumerate(rows)
                     for j, c in row.items() if i < j and c >= 2), default=None)
     if parallel is not None:
@@ -540,7 +579,7 @@ def _first_rule(names: list[int], rows: list[dict[int, int]]) -> Step | None:
     if found is not None:
         return wheel_step(names[found[0]], (names[x] for x in found[1]))
     for name in _bases_that_fit(len(nbrs), max(map(len, nbrs))):
-        mapping = _embed_base(name, nbrs)
+        mapping = _embed(_BASES[name], nbrs)
         if mapping is not None:
             return base_step(name, (names[x] for x in mapping))
     return None

@@ -7,11 +7,11 @@ import copy
 import itertools
 import random
 
-from z3conn.graph import (Multigraph, find_even_wheel_in,
-                          is_triangularly_connected)
-from z3conn.reducer import (Certificate, Step, _bases_that_fit, _embed_base,
-                            _must_apply, _State, absorb_step, base_step,
-                            two_cycle_step, wheel_step)
+from z3conn.graph import Multigraph, is_triangularly_connected
+from z3conn.reducer import (_BASES, Certificate, Step, _bases_that_fit,
+                            _embed, _must_apply, _State, absorb_step,
+                            base_step, find_even_wheel_in, two_cycle_step,
+                            wheel_step)
 
 
 def naive_boundaries(G: Multigraph) -> set[tuple[int, ...]]:
@@ -100,6 +100,23 @@ def random_multigraph(rng: random.Random, n_max: int = 5,
             v = rng.randrange(n)
         edges.append((u, v))
     return Multigraph(n, tuple(edges))
+
+
+def naive_even_wheel(G: Multigraph) -> tuple[int, tuple[int, ...]] | None:
+    """The first even wheel by its definition: hubs ascending, rim lengths
+    4, 6 and 8, and at each the lexicographically least sequence of
+    distinct neighbours of the hub in which each two consecutive ones, the
+    last and the first included, are adjacent."""
+    nbrs = [set() for _ in range(G.n)]
+    for u, v in G.edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    for hub in range(G.n):
+        for k in (4, 6, 8):
+            for rim in itertools.permutations(sorted(nbrs[hub]), k):
+                if all(rim[i - 1] in nbrs[rim[i]] for i in range(k)):
+                    return hub, rim
+    return None
 
 
 def random_simple_graph(rng: random.Random, n: int, p: float) -> Multigraph:
@@ -216,7 +233,7 @@ def ordered_certify(G: Multigraph, budget: int) -> tuple:
             step = wheel_step(names[found[0]], tuple(names[x] for x in found[1]))
         else:
             for name in _bases_that_fit(len(nbrs), max(map(len, nbrs))):
-                mapping = _embed_base(name, nbrs)
+                mapping = _embed(_BASES[name], nbrs)
                 if mapping is not None:
                     step = base_step(name, tuple(names[x] for x in mapping))
                     break

@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from z3conn.catalog import base_graph, wheel
-from z3conn.graph import (WHEEL_MAX_RIM, GraphError, Multigraph, build_graph,
+from z3conn.graph import (GraphError, Multigraph, build_graph,
                           complete_bipartite, complete_graph, cycle_graph,
-                          find_even_wheel, format_edgelist,
-                          is_triangularly_connected, parse_edgelist, to_dot,
-                          triangularly_connected)
+                          format_edgelist, is_triangularly_connected,
+                          parse_edgelist, to_dot, triangularly_connected)
+from z3conn.reducer import WHEEL_MAX_RIM, find_even_wheel
 
 from helpers import naive_triangularly_connected, random_multigraph
 

@@ -7,18 +7,20 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from z3conn import reducer
+from z3conn import parse_sequence, realize, reducer
 from z3conn.catalog import CERTIFIABLE_BASES, base_graph, wheel
 from z3conn.graph import (Multigraph, build_graph, complete_bipartite,
                           complete_graph, cycle_graph)
 from z3conn.reducer import (Certificate, CertificateError, Step, _apply_step,
-                            _State, absorb_step, base_step, certify, lift_step,
+                            _bases_that_fit, _State, absorb_step, base_step,
+                            certify, find_even_wheel, lift_step,
                             parse_certificate, replay, two_cycle_step,
                             wheel_step)
 from z3conn.verifier import is_z3_connected
 
-from helpers import (certify_outcome, naive_z3_connected, ordered_certify,
-                     quotient, random_cubic_graph, random_multigraph)
+from helpers import (certify_outcome, naive_even_wheel, naive_z3_connected,
+                     ordered_certify, quotient, random_cubic_graph,
+                     random_multigraph, random_simple_graph)
 from test_certify_golden import corpus
 
 
@@ -358,6 +360,34 @@ def test_certifiable_bases_are_z3_connected():
     for name in CERTIFIABLE_BASES:
         assert base_graph(name).is_simple(), name
         assert is_z3_connected(base_graph(name)), name
+
+
+def test_find_even_wheel_matches_its_definition():
+    # the first hub, then the shortest rim, then the lexicographically
+    # least rim: the order the certificates' wheel steps follow
+    rng, found = random.Random(29), 0
+    for i in range(2000):
+        if i % 2:
+            G = random_simple_graph(rng, rng.randint(2, 9), rng.uniform(0.2, 0.9))
+        else:
+            G = random_multigraph(rng, 9, 30)
+        want = naive_even_wheel(G)
+        assert find_even_wheel(G) == want, G
+        found += want is not None
+    assert 400 < found < 1600
+
+
+def test_bases_holding_a_wheel_are_left_to_replay():
+    # k5 and k5minus hold W4, so the wheel rule fits wherever they would;
+    # the search skips them, and replay still takes the builder's k5
+    for k in range(1, 9):
+        for widest in range(8):
+            assert not {"k5", "k5minus"} & set(_bases_that_fit(k, widest))
+    assert _bases_that_fit(8, 7) == tuple(
+        name for name in CERTIFIABLE_BASES if name not in ("k5", "k5minus"))
+    r = realize(parse_sequence("(4^5)"))
+    assert r.certificate.render() == "contract-base k5 0 1 2 3 4\ndone\n"
+    assert replay(r.graph, r.certificate).ok
 
 
 class _EdgeListModel:
