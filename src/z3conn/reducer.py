@@ -443,7 +443,9 @@ def _bases_that_fit(k: int, widest: int) -> tuple[str, ...]:
 class CertifyResult:
     """`nodes` is the budget spent.  `reason` is "proved", "budget" (the
     search was cut off), "no-rule" (every branch ended with no rule that
-    applies) or "disconnected" (no search was run)."""
+    applies, or with no absorb that Lemma A allows), "disconnected" or
+    "sparse" (m < 2n - 2, so G is not Z3-connected by Lemma A; no search
+    was run for either)."""
     proved: bool
     certificate: Certificate | None
     nodes: int
@@ -461,11 +463,22 @@ def certify(G: Multigraph, budget: int = 20000) -> CertifyResult:
     The budget counts search nodes: every reduction state the search looks
     at, one per rule applied and one per absorb branch entered (a branch
     to a set of classes already searched in full is charged, not walked).
+
+    Lemma A (proved in the `verifier` docstring: every Z3-connected
+    loopless multigraph has m >= 2n - 2) prunes the search.  A graph with
+    m < 2n - 2 stops at once as "sparse".  An absorb branch is entered only
+    if the state it leads to keeps e >= 2k - 2 (e edges on k classes): on
+    a proving path every state is Z3-connected, since the terminal is and
+    each absorbed class sends >= 2 edges back, so a skipped branch holds
+    no proof.  The order of the branches kept is unchanged, so a proof
+    and its certificate are the ones the unpruned search finds.
     """
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
     if not G.is_connected():
         return CertifyResult(False, None, 0, "disconnected")
+    if G.m < 2 * G.n - 2:
+        return CertifyResult(False, None, 0, "sparse")
     counter = [budget]
     steps, reason = _search(_State(G), counter)
     cert = None if steps is None else Certificate(tuple(steps))
@@ -486,7 +499,12 @@ def _search(state: _State, counter: list[int]) -> tuple[list[Step] | None, str]:
     only R can end in `done`.  A node below ends in `triangular` or branches
     over the classes it could absorb in name order, with degrees kept
     incrementally and the path on an explicit stack, so the recursion limit
-    does not bound the depth.  A failed subtree is not walked again: its node
+    does not bound the depth.  It branches on x only if 2 <= deg[x] <=
+    slack + 2, where slack = e - 2k + 2 >= 0 by Lemma A (see `certify`):
+    absorbing x lowers the slack by deg[x] - 2.  Classes are kept in one
+    bitmask per degree, so a change of slack by t moves t degrees' classes
+    in or out of the branch set, and a skipped branch is neither entered
+    nor charged.  A failed subtree is not walked again: its node
     count is charged to the budget.  Every step it emits, a proof's absorbs and
     terminal too, passes replay's check once, in order, on `state`.
     """
@@ -501,20 +519,49 @@ def _search(state: _State, counter: list[int]) -> tuple[list[Step] | None, str]:
             break
         steps.append(_must_apply(state, step))
 
+    # Lemma A: a state on a proving path is Z3-connected, so it keeps
+    # slack = edges - 2 * classes + 2 >= 0; absorbing x costs deg[x] - 2
     deg = [sum(row.values()) for row in rows]
+    slack = sum(deg) // 2 - 2 * len(rows) + 2
+    by_deg = [0] * (max(deg) + 1)  # degree -> the classes left with it
+    for v, d in enumerate(deg):
+        by_deg[d] |= 1 << v
     mask = (1 << len(rows)) - 1
-    weak = sum(1 << v for v, d in enumerate(deg) if d < 4)
-    able = sum(1 << v for v, d in enumerate(deg) if d >= 2)
+    able = functools.reduce(int.__or__, by_deg[2:max(slack + 3, 2)], 0)
+
+    def move(x: int, sign: int):
+        """Absorb class x (sign -1) or put it back (sign +1).  With `low`
+        the slack once x is absorbed, the classes of degree low + 3 ..
+        low + deg[x] leave or rejoin `able`; x's neighbours are placed
+        afresh as their degrees change by sign times their edges to x."""
+        nonlocal mask, able, slack
+        bit, d = 1 << x, deg[x]
+        mask, able, by_deg[d] = mask ^ bit, able ^ bit, by_deg[d] ^ bit
+        low = slack if sign > 0 else slack - d + 2
+        cut = functools.reduce(int.__or__, by_deg[low + 3:low + d + 1], 0)
+        if sign > 0:
+            able, slack = able | cut, low + d - 2
+        else:
+            able, slack = able & ~cut, low
+        for y, c in rows[x].items():
+            if mask >> y & 1:
+                b = 1 << y
+                by_deg[deg[y]] ^= b
+                deg[y] += sign * c
+                by_deg[deg[y]] |= b
+                able = able | b if 2 <= deg[y] <= slack + 2 else able & ~b
+
     failed: dict[int, int] = {}   # remaining classes -> nodes of its subtree
     # the nodes on the path from R: [class absorbed to get here, last class
-    # tried from here, counter on entry]; mask, weak and able are kept for
-    # the last node and restored from `deg` on pop, so a node is O(1)
+    # tried from here, counter on entry]; mask, able, slack, deg and by_deg
+    # are kept for the last node, so a node costs O(deg) of the class it
+    # absorbs or puts back
     path: list[list] = []
     start, x = counter[0] + 1, None
     while True:
         path.append([x, -1, start])
         single = mask & (mask - 1) == 0
-        if single or not weak and triangularly_connected(
+        if single or not any(by_deg[:4]) and triangularly_connected(
                 {v: row for v, row in enumerate(rows) if mask >> v & 1}):
             for step in [*(absorb_step(names[node[0]]) for node in path[1:]),
                          Step("done" if single else "triangular")]:
@@ -539,28 +586,13 @@ def _search(state: _State, counter: list[int]) -> tuple[list[Step] | None, str]:
             path.pop()
             if not path:
                 return None, "no-rule"
-            for y, c in rows[x].items():
-                if mask >> y & 1:
-                    deg[y] += c
-            mask |= 1 << x
-            for y in (x, *rows[x]):
-                if mask >> y & 1:
-                    bit = 1 << y
-                    weak = weak | bit if deg[y] < 4 else weak & ~bit
-                    able = able | bit if deg[y] >= 2 else able & ~bit
+            move(x, 1)
         if counter[0] <= 0:
             return None, "budget"
         start = counter[0]
         counter[0] -= 1
-        x, bit = last, 1 << last
-        mask, weak, able = mask ^ bit, weak & ~bit, able ^ bit
-        for y, c in rows[x].items():
-            if mask >> y & 1:
-                deg[y] -= c
-                if deg[y] < 4:
-                    weak |= 1 << y
-                    if deg[y] < 2:
-                        able &= ~(1 << y)
+        x = last
+        move(x, -1)
 
 
 def _first_rule(names: list[int], rows: list[dict[int, int]]) -> Step | None:

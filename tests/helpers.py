@@ -125,17 +125,6 @@ def random_simple_graph(rng: random.Random, n: int, p: float) -> Multigraph:
     return Multigraph(n, tuple(edges))
 
 
-def random_cubic_graph(rng: random.Random, n: int) -> Multigraph:
-    """Uniform random simple 3-regular graph on n (even) vertices, by
-    pairing 3n half-edges and retrying until the pairing is simple."""
-    while True:
-        ends = [v for v in range(n) for _ in range(3)]
-        rng.shuffle(ends)
-        edges = [(min(a, b), max(a, b)) for a, b in zip(ends[::2], ends[1::2])]
-        if all(a != b for a, b in edges) and len(set(edges)) == len(edges):
-            return Multigraph(n, tuple(edges))
-
-
 def naive_runs(degrees) -> list[tuple[int, int]]:
     """(value, count) runs of a nonincreasing tuple, by a plain scan."""
     out = []
@@ -197,7 +186,7 @@ def certify_outcome(res) -> tuple:
             res.nodes, res.reason)
 
 
-def ordered_certify(G: Multigraph, budget: int) -> tuple:
+def ordered_certify(G: Multigraph, budget: int, lemma_a: bool = True) -> tuple:
     """`certify` as a plain depth-first search over every order of absorbs,
     as (proved, rendered certificate or None, nodes, reason).
 
@@ -206,9 +195,17 @@ def ordered_certify(G: Multigraph, budget: int) -> tuple:
     branch runs on its own copy of the state.  Reuses the package's replay
     state and rule finders, so it pins only the search order and the
     budget accounting.
+
+    With `lemma_a` (as `certify` does) a graph with m < 2n - 2 stops as
+    "sparse" before any node, and a node with e edges on k classes enters
+    only the absorbs of classes of degree d with 2 <= d <= e - 2k + 4, so
+    the state it leads to keeps e >= 2k - 2; without it, every class of
+    degree >= 2 is tried.
     """
     if not G.is_connected():
         return False, None, 0, "disconnected"
+    if lemma_a and G.m < 2 * G.n - 2:
+        return False, None, 0, "sparse"
     counter = budget
     # open branch points: (steps from the previous one, state, classes
     # left to absorb, last one on top)
@@ -245,8 +242,9 @@ def ordered_certify(G: Multigraph, budget: int) -> tuple:
         if min(degrees) >= 4 and is_triangularly_connected(quotient(state)[0]):
             steps.append(Step("triangular"))
             break
+        most = sum(degrees) // 2 - 2 * len(rows) + 4 if lemma_a else sum(degrees)
         frames.append((steps, state,
-                       [names[v] for v, d in enumerate(degrees) if d >= 2][::-1]))
+                       [names[v] for v, d in enumerate(degrees) if 2 <= d <= most][::-1]))
         while frames and not frames[-1][2]:
             frames.pop()
         if not frames:

@@ -247,7 +247,8 @@ def test_certify_says_why_it_stopped_on_stderr(tmp_path):
     path.write_text(format_edgelist(complete_bipartite(3, 3)))
     code, out, err = run_cli("certify", str(path))
     assert (code, out) == (1, "unknown\n")
-    assert err == "certify stopped: no-rule after 193 nodes\n"
+    # K_{3,3} has m = 9 < 2n - 2 edges: Lemma A answers before any node
+    assert err == "certify stopped: sparse after 0 nodes\n"
 
 
 def test_realize_certify_output_reads_back(tmp_path):

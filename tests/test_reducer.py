@@ -2,6 +2,7 @@ import inspect
 import itertools
 import random
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -19,8 +20,8 @@ from z3conn.reducer import (Certificate, CertificateError, Step, _apply_step,
 from z3conn.verifier import is_z3_connected
 
 from helpers import (certify_outcome, naive_even_wheel, naive_z3_connected,
-                     ordered_certify, quotient, random_cubic_graph,
-                     random_multigraph, random_simple_graph)
+                     ordered_certify, quotient, random_multigraph,
+                     random_simple_graph)
 from test_certify_golden import corpus
 
 
@@ -167,10 +168,12 @@ def test_certify_sound_on_random_graphs():
 
 @pytest.mark.parametrize("graph,budget,reason,nodes", [
     (wheel(4), 20000, "proved", 2),
-    (complete_graph(4), 20000, "no-rule", 17),
+    # m = 2n - 2 leaves no slack, and every class has degree 3
+    (complete_graph(4), 20000, "no-rule", 1),
     (build_graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]), 20000,
      "disconnected", 0),
-    (complete_bipartite(3, 3), 5, "budget", 5),
+    # m = 9 < 2n - 2: Lemma A, before any node is spent
+    (complete_bipartite(3, 3), 5, "sparse", 0),
 ])
 def test_certify_says_why_it_stopped(graph, budget, reason, nodes):
     res = certify(graph, budget=budget)
@@ -188,9 +191,9 @@ def test_certify_rejects_too_few_edges_without_per_vertex_work(monkeypatch):
 
 
 def test_certify_absorb_depth_is_not_bounded_by_recursion_limit():
-    # the absorb backtracking on a random cubic graph with n = 300 goes
-    # more than 60 branch points deep within 200 nodes
-    G = random_cubic_graph(random.Random(300), 300)
+    # the absorb backtracking on K_{3,300} takes the degree-3 side one
+    # class at a time, more than 60 branch points deep within 200 nodes
+    G = complete_bipartite(3, 300)
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 60)
     try:
@@ -280,11 +283,12 @@ def test_certify_rejects_a_negative_budget():
         certify(wheel(4), budget=-5)
 
 
-def test_certify_scales_to_a_cubic_graph_with_1000_vertices():
-    # no rule fits a cubic graph, so the whole budget goes to absorbs; a
-    # repeated set of remaining classes is charged from its recorded count,
-    # so the default budget runs out in well under a second
-    G = random_cubic_graph(random.Random(1000), 1000)
+def test_certify_scales_to_k3n_with_1000_vertices():
+    # no rule fits K_{3,997}, so the whole budget goes to absorbs, 993 deep
+    # along the degree-3 side; a repeated set of remaining classes is
+    # charged from its recorded count, so the default budget runs out in
+    # well under a second
+    G = complete_bipartite(3, 997)
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
@@ -294,10 +298,31 @@ def test_certify_scales_to_a_cubic_graph_with_1000_vertices():
     assert (res.proved, res.reason, res.nodes) == (False, "budget", 20000)
 
 
+def test_certify_cutoff_scans_no_classes():
+    # K_{3,1000} with 30 degree-2 vertices on hubs 0 and 1, and pendants on
+    # hub 2 until m = 2n - 2: only the degree-2 classes pass the cut-off,
+    # so a node that looked at the 1 000 degree-3 classes, or absorbed a
+    # hub, would take seconds here
+    G = complete_bipartite(3, 1000)
+    edges, n = list(G.edges), G.n
+    for v in range(n, n + 30):
+        edges += [(0, v), (1, v)]
+    n += 30
+    while len(edges) > 2 * n - 2:
+        edges.append((2, n))
+        n += 1
+    G = Multigraph(n, tuple(edges))
+    start = time.perf_counter()
+    res = certify(G)
+    elapsed = time.perf_counter() - start
+    assert (res.proved, res.reason, res.nodes) == (False, "budget", 20000)
+    assert elapsed <= 1.0, elapsed
+
+
 def test_certify_memory_does_not_grow_with_budget_times_n():
-    # on a long cycle the absorb path runs 10 001 nodes deep; a node that
-    # kept its own n-bit class masks would need about 128 MB here
-    G = cycle_graph(20000)
+    # on K_{3,20000} the absorb path runs 19 996 nodes deep; a node that
+    # kept its own n-bit class mask would need about 50 MB per mask here
+    G = complete_bipartite(3, 20000)
     tracemalloc.start()
     try:
         res = certify(G)
@@ -308,8 +333,18 @@ def test_certify_memory_does_not_grow_with_budget_times_n():
     assert peak < 40 * 2 ** 20
 
 
-@pytest.mark.parametrize("graph", [complete_graph(4), wheel(5),
-                                   complete_bipartite(3, 3)])
+@pytest.mark.parametrize("graph", [
+    complete_graph(4), wheel(5), complete_bipartite(3, 6),
+    # slack 2: degree-3 and degree-4 classes branch until a degree-3
+    # absorb lowers the cut-off past the degree-4 ones
+    build_graph(12, [(0, 4), (0, 5), (0, 8), (0, 9), (1, 2), (1, 4), (1, 6),
+                     (1, 9), (1, 10), (1, 11), (2, 10), (2, 11), (3, 5), (3, 7),
+                     (3, 10), (4, 5), (4, 6), (4, 8), (5, 7), (5, 11), (6, 9),
+                     (7, 9), (8, 10), (10, 11)]),
+    # vertex 9 hangs on vertex 3: undoing 3's absorb must not make 9, back
+    # at degree 1, a branch
+    Multigraph(10, complete_bipartite(3, 6).edges + ((0, 1), (3, 9))),
+])
 def test_certify_matches_ordered_search_at_every_budget(graph):
     # cut-offs land on every node of the full search, including inside
     # subtrees that are charged from their recorded counts
@@ -336,6 +371,31 @@ def small_graphs(draw):
 @given(small_graphs(), st.sampled_from([1, 2, 16, 17, 50, 500, 3000]))
 def test_certify_matches_ordered_search(G, budget):
     assert certify_outcome(certify(G, budget)) == ordered_certify(G, budget)
+
+
+def test_lemma_a_prune_keeps_every_proof():
+    # the plain search (every class of degree >= 2 branches) against
+    # certify, which prunes by Lemma A: the same graphs are proved, with
+    # the same certificates in no more nodes, and only failures get cheaper
+    rng = random.Random(2030)
+    proved = spent = plain_spent = 0
+    for _ in range(2000):
+        n = rng.randint(2, 11)
+        ends = [(rng.randrange(n), rng.randrange(n - 1))
+                for _ in range(rng.randint(n, 3 * n))]
+        G = Multigraph(n, tuple((u, v + (v >= u)) for u, v in ends))
+        plain = ordered_certify(G, 3000, lemma_a=False)
+        got = certify_outcome(certify(G, 3000))
+        assert got[0] == plain[0]
+        if got[0]:
+            assert got[1] == plain[1] and got[2] <= plain[2]
+            assert is_z3_connected(G)
+            proved += 1
+        else:
+            spent += got[2]
+            plain_spent += plain[2]
+    assert proved > 1000
+    assert spent * 10 < plain_spent, (spent, plain_spent)
 
 
 @st.composite
