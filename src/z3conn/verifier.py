@@ -20,10 +20,27 @@ per value of digit p: an edge moves digit p by renaming them, and its other
 end by a few shift-and-mask operations on each against digit masks cached
 once per n.  An int costs its own length, so the DP does about sum over
 edges of 3^(n-1-p) bit operations rather than m * 3^(n-1), and only the
-lowest-degree vertex's edges run at full width.  Yes/no answers stop early
-once the set is full; only `solve_boundary` keeps the slices after each
-edge, for its witness, which it maps back to the input edges.
+lowest-degree vertex's edges run at full width.  Yes/no answers
+(`is_z3_connected`, `oracle_verdict`) stop early once the set is full.
 `reachable_boundaries` runs the same DP in the input labels.
+
+`solve_boundary` asks about one target, and so do `is_3_flowable` and
+`has_modular_3_orientation`, which call it with the zero boundary; it
+meets the DP halfway (meet in the middle, Horowitz and Sahni, JACM 1974),
+so it runs the widest slices only where a search from the target would
+cost more.  The backward side starts from the
+target's flat index and takes the edges at labels 0, 1, ...: each edge
+subtracts its move (value a in {1, 2}: digit u - a, digit v + a) from
+every residual, keeping a parent pointer per new residual, and after
+label p's last edge no edge is left at vertex p, so only residuals whose
+digit p is 0 survive.  It stops before label p once residuals *
+2^(edges at p) * 64 > 3^(n-2-p), the width in bits of that label's
+slice; for n <= 5 that is at once, and the search is the plain DP.  The
+forward side is the DP on the other edges, the narrow ones, keeping its
+slices after each edge.  Every edge is on one side, and on both sides the
+digits below the meeting label are 0, so the first residual the forward
+set flags meets it.  The witness walks back through the forward slices,
+then along the parent pointers, and is mapped back to the input edges.
 Every entry point refuses graphs with more than `ORACLE_N_MAX` vertices:
 the last edges run at 3^(n-1) bits, so each further vertex triples time
 and memory.
@@ -122,9 +139,10 @@ def _degree_labels(G: Multigraph) -> list[int]:
     return label
 
 
-def _reach(G: Multigraph, label=None, layers=None) -> int:
+def _reach(G: Multigraph, label=None, layers=None, low=0) -> int:
     """Reachable zero-sum boundaries of G as an int of 3^(n-1) flags, by
-    flat index in `label` (the degree order when None).
+    flat index in `label` (the degree order when None), from the edges
+    whose smaller label is at least `low`.
 
     At label p the set is slices S0, S1, S2 of s = 3^(n-2-p) flags, by
     digit p.  Values 1 and 2 give +1 at one end and -1 at the other, either
@@ -141,7 +159,9 @@ def _reach(G: Multigraph, label=None, layers=None) -> int:
     plan = []
     for i, (u, v) in enumerate(G.edges):
         p, q = sorted((label[u], label[v]))
-        plan.append((masks[p][0], i, masks[q] if q < len(masks) else None))
+        if p >= low:
+            plan.append((masks[p][0], i,
+                         masks[q] if q < len(masks) else None))
     plan.sort(key=lambda t: t[0])  # descending label p: ascending stride
     full = (1 << 3 ** (G.n - 1) // 3) - 1  # one full slice at label 0
     S0, S1, S2, s = 1, 0, 0, 0
@@ -205,26 +225,35 @@ def is_z3_connected(G: Multigraph) -> bool:
 def solve_boundary(G: Multigraph, b: ZeroSumFunction) -> FlowAssignment | None:
     """A flow with the given boundary, or None when unreachable.
 
-    Keeps the slices after each edge, in the DP's degree order, then walks
-    back from the target through them to recover one witness; each step
-    moves two digits, so a candidate's flat index is the current one plus
-    those digits' changes times their strides.
+    Meets the DP halfway, in its degree order.  `_backward` takes the
+    edges at labels 0, 1, ... from the target and keeps the residuals, up
+    to the meeting label; `_reach` takes the other edges from the zero
+    boundary and keeps the slices after each edge.  The first residual the
+    forward set flags is the meeting point.  The witness walks back from it
+    through the slices (each step moves two digits, so a candidate's flat
+    index is the current one plus those digits' changes times their
+    strides), then follows the residuals' parent pointers to the target.
     """
     _check_size(G)
     if len(b.values) != G.n:
         raise ValueError("boundary length must match vertex count")
     label = _degree_labels(G)
-    layers = [(None, 1, (1, 0, 0))]  # no edges: the zero boundary alone
-    _reach(G, label, layers)
     state = [0] * G.n
     for v, t in enumerate(b.values):
         state[label[v]] = t
-    stride = [3 ** (G.n - 2 - p) for p in range(G.n - 1)] + [0]
-    index = _flat(state)
-    if not _flag(layers[-1], index):
+    low, back, residuals = _backward(G, label, _flat(state))
+    if not residuals:
         return None
+    layers = [(None, 1, (1, 0, 0))]  # no edges: the zero boundary alone
+    flags = _reach(G, label, layers, low).to_bytes(
+        (3 ** (G.n - 1 - low) + 7) // 8, "little")
+    meet = next((r for r in residuals if flags[r >> 3] >> (r & 7) & 1), None)
+    if meet is None:
+        return None
+    index, stride = meet, _strides(G.n)
+    state = [index // s % 3 if s else 0 for s in stride]
     values = [0] * G.m
-    for k in reversed(range(G.m)):
+    for k in reversed(range(len(layers) - 1)):
         i = layers[k + 1][0]
         u, v = (label[x] for x in G.edges[i])
         for a in (1, 2):
@@ -237,7 +266,53 @@ def solve_boundary(G: Multigraph, b: ZeroSumFunction) -> FlowAssignment | None:
             raise RuntimeError("witness reconstruction failed")
         values[i] = a
         state[u], state[v], index = du, dv, cand
+    for i, parents in reversed(back):
+        meet, values[i] = parents[meet]
     return FlowAssignment(tuple(values))
+
+
+def _strides(n: int) -> list[int]:
+    """The stride 3^(n-2-p) of each label p; vertex n-1 has no digit: 0."""
+    return [3 ** (n - 2 - p) for p in range(n - 1)] + [0]
+
+
+def _backward(G: Multigraph, label, index: int):
+    """The backward side of `solve_boundary`, from flat index `index` in
+    `label`: returns the meeting label low, the steps taken as (edge index,
+    {residual: (residual before the edge, value)}) and the residuals left.
+
+    For labels p = 0, 1, ... it takes the edges whose smaller label is p,
+    subtracting each one's move (digit u - a, digit v + a, for a in 1, 2)
+    from every residual.  After label p's last edge no edge is left at
+    vertex p, so only residuals whose digit p is 0 survive; with every
+    lower digit 0 already, those are the ones below the stride.  It stops
+    before label p once len(residuals) * 2^(edges at p) * 64 exceeds
+    3^(n-2-p), the width in bits of that label's slice: from there on the
+    forward side's shifts over whole slices cost less than a dict entry per
+    residual.  No residual left means the target is unreachable."""
+    stride = _strides(G.n)
+    at = [[] for _ in range(G.n)]
+    for i, (x, y) in enumerate(G.edges):
+        u, v = label[x], label[y]
+        at[min(u, v)].append((i, stride[u], stride[v]))
+    back, residuals = [], [index]
+    for p in range(G.n - 1):
+        if len(residuals) * 2 ** len(at[p]) * 64 > stride[p]:
+            return p, back, residuals
+        for i, su, sv in at[p]:
+            parents = {}
+            for r in residuals:
+                du = r // su % 3 if su else 0
+                dv = r // sv % 3 if sv else 0
+                for a in (1, 2):
+                    parents.setdefault(r + ((du - a) % 3 - du) * su
+                                       + ((dv + a) % 3 - dv) * sv, (r, a))
+            back.append((i, parents))
+            residuals = parents
+        residuals = [r for r in residuals if r < stride[p]]
+        if not residuals:
+            break
+    return G.n - 1, back, residuals
 
 
 def _flag(layer, index: int) -> bool:
@@ -261,7 +336,7 @@ def has_modular_3_orientation(G: Multigraph) -> list[bool] | None:
 
 def is_3_flowable(G: Multigraph) -> bool:
     """Whether G admits a nowhere-zero 3-flow (the zero-boundary case)."""
-    return oracle_verdict(G)[1]
+    return solve_boundary(G, ZeroSumFunction((0,) * G.n)) is not None
 
 
 def oracle_verdict(G: Multigraph) -> tuple[bool, bool]:

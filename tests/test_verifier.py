@@ -237,6 +237,96 @@ def test_oracle_memory_at_n14():
     assert peak_witness < 3 * state
 
 
+def test_single_target_peak_below_yes_no_at_n14():
+    # the backward side takes the rim's widest labels, so the one-target
+    # search never holds a full-width slice; the yes/no DP does
+    G = wheel(13)
+    assert not is_z3_connected(G)  # warm the n = 14 masks
+    zero = ZeroSumFunction((0,) * G.n)
+    peaks = []
+    for check in (is_z3_connected, lambda G: solve_boundary(G, zero)):
+        tracemalloc.start()
+        try:
+            check(G)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0]
+
+
+def _meet_cross_check_graphs(rng):
+    """Graphs for each case of the meeting rule, as (case, graph): dense
+    graphs whose label-0 vertex has degree n - 2 or more, sparse
+    multigraphs with n = 10..14 whose vertex n - 1 takes edges in both
+    orientations, and n <= 5."""
+    for n in (10, 11, 10, 11):
+        drop = rng.sample(range(n), n // 2 * 2)
+        gone = {frozenset(drop[j:j + 2]) for j in range(0, len(drop), 2)}
+        edges = [e if rng.random() < 0.5 else e[::-1]
+                 for e in itertools.combinations(range(n), 2)
+                 if frozenset(e) not in gone]
+        yield "dense", Multigraph(n, tuple(edges))
+    for n in (10, 11, 12, 13, 14) * 4:
+        hub, ring = n - 1, rng.sample(range(n), n)
+        edges = [(hub, rng.randrange(hub)), (rng.randrange(hub), hub)]
+        edges += list(zip(ring, ring[1:] + ring[:1]))
+        while len(edges) < rng.randint(2 * n - 4, 2 * n + 3):
+            u, v = rng.sample(range(n), 2)
+            u = rng.choice((u, hub)) if v != hub else u
+            edges += [rng.choice(((u, v), (v, u)))] * rng.choice((1, 1, 2))
+        rng.shuffle(edges)
+        yield "sparse", Multigraph(n, tuple(edges))
+    for n in (3, 4, 5) * 3:
+        edges = [tuple(rng.sample(range(n), 2))
+                 for _ in range(rng.randint(n, 2 * n + 2))]
+        yield "small", Multigraph(n, tuple(edges))
+
+
+def test_meeting_halfway_matches_reachable_boundaries():
+    # solve_boundary meets the degree-ordered DP halfway; reachable_boundaries
+    # runs the whole DP in the input labels, an independent path.  Reach
+    # each case of the meeting rule: the backward side stops at once, takes
+    # two labels or more, or takes none because n <= 5
+    rng = random.Random(3203)
+    cases, targets = set(), {True: 0, False: 0}
+    for kind, G in _meet_cross_check_graphs(rng):
+        reach = reachable_boundaries(G)
+        zero = (0,) * G.n
+        low, _, residuals = verifier._backward(
+            G, verifier._degree_labels(G), 0)
+        top = verifier._degree_labels(G).index(G.n - 1)
+        if kind == "sparse" and {(top in e, e[0] == top) for e in G.edges} >= {
+                (True, True), (True, False)}:
+            cases.add("digitless vertex both ways")
+        if kind == "dense" and low == 0:
+            cases.add("at once")
+        elif kind == "sparse" and low >= 2 and residuals:
+            cases.add("two labels or more")
+        elif kind == "small":
+            assert low == 0
+            cases.add("none")
+        assert is_3_flowable(G) == reach[zero]
+        orient = has_modular_3_orientation(G)
+        assert (orient is not None) == reach[zero]
+        if orient is not None:
+            net = [0] * G.n
+            for (u, v), rev in zip(G.edges, orient):
+                net[v if rev else u] += 1
+                net[u if rev else v] -= 1
+            assert all(x % 3 == 0 for x in net)
+        for _ in range(4):
+            b = [rng.randrange(3) for _ in range(G.n - 1)]
+            b = tuple(b + [-sum(b) % 3])
+            flow = solve_boundary(G, ZeroSumFunction(b))
+            assert (flow is not None) == reach[b]
+            if flow is not None:
+                assert boundary(G, flow).values == b
+            targets[reach[b]] += 1
+    assert cases == {"at once", "two labels or more", "none",
+                     "digitless vertex both ways"}
+    assert targets[True] > 20 and targets[False] > 20, targets
+
+
 def test_digit_masks_are_no_wider_than_a_slice():
     # the widest slice is label 0's, 3^(n-2) flags; a mask is only ANDed
     # with a slice, so bits above that width would never be read
