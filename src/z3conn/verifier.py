@@ -24,23 +24,9 @@ lowest-degree vertex's edges run at full width.  Yes/no answers
 (`is_z3_connected`, `oracle_verdict`) stop early once the set is full.
 `reachable_boundaries` runs the same DP in the input labels.
 
-`solve_boundary` asks about one target, and so do `is_3_flowable` and
-`has_modular_3_orientation`, which call it with the zero boundary; it
-meets the DP halfway (meet in the middle, Horowitz and Sahni, JACM 1974),
-so it runs the widest slices only where a search from the target would
-cost more.  The backward side starts from the
-target's flat index and takes the edges at labels 0, 1, ...: each edge
-subtracts its move (value a in {1, 2}: digit u - a, digit v + a) from
-every residual, keeping a parent pointer per new residual, and after
-label p's last edge no edge is left at vertex p, so only residuals whose
-digit p is 0 survive.  It stops before label p once residuals *
-2^(edges at p) * 64 > 3^(n-2-p), the width in bits of that label's
-slice; for n <= 5 that is at once, and the search is the plain DP.  The
-forward side is the DP on the other edges, the narrow ones, keeping its
-slices after each edge.  Every edge is on one side, and on both sides the
-digits below the meeting label are 0, so the first residual the forward
-set flags meets it.  The witness walks back through the forward slices,
-then along the parent pointers, and is mapped back to the input edges.
+`solve_boundary` and `is_3_flowable` ask about one target and meet the DP
+halfway (Horowitz and Sahni, JACM 1974): `_backward` searches back from
+the target over the lowest labels' edges, and the DP runs the rest.
 Every entry point refuses graphs with more than `ORACLE_N_MAX` vertices:
 the last edges run at 3^(n-1) bits, so each further vertex triples time
 and memory.
@@ -150,20 +136,21 @@ def _reach(G: Multigraph, label=None, layers=None, low=0) -> int:
     (U) at q and sets S'_a = D_(a-1) | U_(a+1); an edge to vertex n-1 sets
     S'_a = S_(a-1) | S_(a+1).  A lower label joins the slices into one int,
     its slice 0.  With `layers`, appends (edge index, s, slices) after each
-    edge; else stops once the set is full, which more edges keep full.
-    Before label 0 each slice is narrower than `full`, so the test fails
-    on the int sizes alone."""
+    edge.  Stops once the set is full, which more edges keep full; before
+    label 0 each slice is narrower than `full`, so the test fails on the
+    int sizes alone."""
     if label is None:
         label = _degree_labels(G)
     masks = _masks(G.n)
     plan = []
     for i, (u, v) in enumerate(G.edges):
         p, q = sorted((label[u], label[v]))
-        if p >= low:
-            plan.append((masks[p][0], i,
-                         masks[q] if q < len(masks) else None))
+        plan.append((masks[p][0], i, masks[q] if q < len(masks) else None))
     plan.sort(key=lambda t: t[0])  # descending label p: ascending stride
-    full = (1 << 3 ** (G.n - 1) // 3) - 1  # one full slice at label 0
+    while plan and 3 * plan[-1][0] > 3 ** (G.n - 1 - low):  # p below low
+        plan.pop()
+    # one full slice at label 0; from a higher label the set cannot fill
+    full = (1 << 3 ** (G.n - 1) // 3) - 1 if low == 0 else None
     S0, S1, S2, s = 1, 0, 0, 0
     for ps, i, far in plan:
         if ps != s:
@@ -181,7 +168,7 @@ def _reach(G: Multigraph, label=None, layers=None, low=0) -> int:
                 ((S1 ^ lo1) >> t) | lo1 << t2 | ((S0 ^ hi0 << t2) << t) | hi0)
         if layers is not None:
             layers.append((i, s, (S0, S1, S2)))
-        elif S0 == full and S1 == full and S2 == full:
+        if S0 == full and S1 == full and S2 == full:
             break
     return S0 | S1 << s | S2 << 2 * s
 
@@ -225,15 +212,47 @@ def is_z3_connected(G: Multigraph) -> bool:
 def solve_boundary(G: Multigraph, b: ZeroSumFunction) -> FlowAssignment | None:
     """A flow with the given boundary, or None when unreachable.
 
-    Meets the DP halfway, in its degree order.  `_backward` takes the
-    edges at labels 0, 1, ... from the target and keeps the residuals, up
-    to the meeting label; `_reach` takes the other edges from the zero
-    boundary and keeps the slices after each edge.  The first residual the
-    forward set flags is the meeting point.  The witness walks back from it
-    through the slices (each step moves two digits, so a candidate's flat
-    index is the current one plus those digits' changes times their
-    strides), then follows the residuals' parent pointers to the target.
+    `_meet` finds where the search back from the target meets the DP.  The
+    witness walks back from there through the DP's slices (each step moves
+    two digits, so a candidate's flat index is the current one plus those
+    digits' changes times their strides), then follows the backward side's
+    parent pointers to the target.
     """
+    layers = [(None, 1, (1, 0, 0))]  # no edges: the zero boundary alone
+    found = _meet(G, b, layers)
+    if found is None:
+        return None
+    label, meet, back = found
+    index, stride = meet, _strides(G.n)
+    state = [index // s % 3 if s else 0 for s in stride]
+    values = [0] * G.m
+    walked = {i for i, _ in back} | {layer[0] for layer in layers}
+    # edges the DP skipped once every boundary was reachable take any value
+    steps = [(i, None) for i in range(G.m) if i not in walked]
+    steps += [(layers[k + 1][0], layers[k])
+              for k in reversed(range(len(layers) - 1))]
+    for i, layer in steps:
+        u, v = (label[x] for x in G.edges[i])
+        for a in (1, 2):
+            du, dv = (state[u] - a) % 3, (state[v] + a) % 3
+            cand = (index + (du - state[u]) * stride[u]
+                    + (dv - state[v]) * stride[v])
+            if layer is None or _flag(layer, cand):
+                break
+        else:
+            raise RuntimeError("witness reconstruction failed")
+        values[i] = a
+        state[u], state[v], index = du, dv, cand
+    for i, parents in reversed(back):
+        meet, values[i] = parents[meet]
+    return FlowAssignment(tuple(values))
+
+
+def _meet(G: Multigraph, b: ZeroSumFunction, layers=None):
+    """Where the search back from b meets the DP, as (degree labels, the
+    meeting residual's flat index, `_backward`'s steps), or None when b is
+    unreachable.  The DP runs the edges `_backward` left and appends its
+    slices to `layers` when given."""
     _check_size(G)
     if len(b.values) != G.n:
         raise ValueError("boundary length must match vertex count")
@@ -244,31 +263,14 @@ def solve_boundary(G: Multigraph, b: ZeroSumFunction) -> FlowAssignment | None:
     low, back, residuals = _backward(G, label, _flat(state))
     if not residuals:
         return None
-    layers = [(None, 1, (1, 0, 0))]  # no edges: the zero boundary alone
-    flags = _reach(G, label, layers, low).to_bytes(
-        (3 ** (G.n - 1 - low) + 7) // 8, "little")
-    meet = next((r for r in residuals if flags[r >> 3] >> (r & 7) & 1), None)
-    if meet is None:
-        return None
-    index, stride = meet, _strides(G.n)
-    state = [index // s % 3 if s else 0 for s in stride]
-    values = [0] * G.m
-    for k in reversed(range(len(layers) - 1)):
-        i = layers[k + 1][0]
-        u, v = (label[x] for x in G.edges[i])
-        for a in (1, 2):
-            du, dv = (state[u] - a) % 3, (state[v] + a) % 3
-            cand = (index + (du - state[u]) * stride[u]
-                    + (dv - state[v]) * stride[v])
-            if _flag(layers[k], cand):
-                break
-        else:
-            raise RuntimeError("witness reconstruction failed")
-        values[i] = a
-        state[u], state[v], index = du, dv, cand
-    for i, parents in reversed(back):
-        meet, values[i] = parents[meet]
-    return FlowAssignment(tuple(values))
+    F = _reach(G, label, layers, low)
+    if len(residuals) == 1:
+        hits = [r for r in residuals if F >> r & 1]
+    else:  # one copy of F, not one shift of it per residual
+        flags = F.to_bytes((3 ** (G.n - 1 - low) + 7) // 8, "little")
+        hits = (r for r in residuals if flags[r >> 3] >> (r & 7) & 1)
+    meet = next(iter(hits), None)
+    return None if meet is None else (label, meet, back)
 
 
 def _strides(n: int) -> list[int]:
@@ -285,19 +287,28 @@ def _backward(G: Multigraph, label, index: int):
     subtracting each one's move (digit u - a, digit v + a, for a in 1, 2)
     from every residual.  After label p's last edge no edge is left at
     vertex p, so only residuals whose digit p is 0 survive; with every
-    lower digit 0 already, those are the ones below the stride.  It stops
-    before label p once len(residuals) * 2^(edges at p) * 64 exceeds
-    3^(n-2-p), the width in bits of that label's slice: from there on the
-    forward side's shifts over whole slices cost less than a dict entry per
-    residual.  No residual left means the target is unreachable."""
+    lower digit 0 already, those are the ones below the stride.  No
+    residual left means the target is unreachable.
+
+    It stops before label p, leaving its k edges to the DP, once the dict
+    entries they would make, R * (2^(k+1) - 2) from R residuals, cost more
+    than the DP's k edges over slices of 3^(n-2-p) flags.  An entry costs
+    about as much as 500 flags of one edge's slice, and 2500 at label 0:
+    only there can the DP's set fill and stop it, and on dense graphs it
+    fills after two of label 0's edges.  Both prices are fitted to timings
+    at every meeting label on dense and sparse graphs with n = 12..14
+    (BENCH_32.json).  Label 0's edges are those at its vertex, so its test
+    needs only the minimum degree, not the edge lists."""
     stride = _strides(G.n)
+    if _dearer(0, min(G.degrees()), 1, stride):
+        return 0, [], [index]
     at = [[] for _ in range(G.n)]
     for i, (x, y) in enumerate(G.edges):
         u, v = label[x], label[y]
         at[min(u, v)].append((i, stride[u], stride[v]))
     back, residuals = [], [index]
     for p in range(G.n - 1):
-        if len(residuals) * 2 ** len(at[p]) * 64 > stride[p]:
+        if _dearer(p, len(at[p]), len(residuals), stride):
             return p, back, residuals
         for i, su, sv in at[p]:
             parents = {}
@@ -313,6 +324,12 @@ def _backward(G: Multigraph, label, index: int):
         if not residuals:
             break
     return G.n - 1, back, residuals
+
+
+def _dearer(p: int, k: int, residuals: int, stride) -> bool:
+    """`_backward`'s stopping rule at label p with k edges."""
+    return (residuals * (2 ** (k + 1) - 2) * (500 if p else 2500)
+            > k * stride[p])
 
 
 def _flag(layer, index: int) -> bool:
@@ -335,8 +352,9 @@ def has_modular_3_orientation(G: Multigraph) -> list[bool] | None:
 
 
 def is_3_flowable(G: Multigraph) -> bool:
-    """Whether G admits a nowhere-zero 3-flow (the zero-boundary case)."""
-    return solve_boundary(G, ZeroSumFunction((0,) * G.n)) is not None
+    """Whether G admits a nowhere-zero 3-flow (the zero-boundary case): the
+    search `solve_boundary` runs, keeping no slices for a witness."""
+    return _meet(G, ZeroSumFunction((0,) * G.n)) is not None
 
 
 def oracle_verdict(G: Multigraph) -> tuple[bool, bool]:

@@ -256,15 +256,17 @@ def test_single_target_peak_below_yes_no_at_n14():
 
 def _meet_cross_check_graphs(rng):
     """Graphs for each case of the meeting rule, as (case, graph): dense
-    graphs whose label-0 vertex has degree n - 2 or more, sparse
-    multigraphs with n = 10..14 whose vertex n - 1 takes edges in both
-    orientations, and n <= 5."""
-    for n in (10, 11, 10, 11):
+    graphs and multigraphs whose label-0 vertex has degree n - 2 or more,
+    sparse multigraphs with n = 10..14 whose vertex n - 1 takes edges in
+    both orientations, and n <= 5."""
+    for n in (10, 11, 10, 11, 12):
         drop = rng.sample(range(n), n // 2 * 2)
         gone = {frozenset(drop[j:j + 2]) for j in range(0, len(drop), 2)}
         edges = [e if rng.random() < 0.5 else e[::-1]
                  for e in itertools.combinations(range(n), 2)
                  if frozenset(e) not in gone]
+        edges += rng.sample(edges, n) if n % 2 else []
+        rng.shuffle(edges)
         yield "dense", Multigraph(n, tuple(edges))
     for n in (10, 11, 12, 13, 14) * 4:
         hub, ring = n - 1, rng.sample(range(n), n)
@@ -286,24 +288,29 @@ def test_meeting_halfway_matches_reachable_boundaries():
     # solve_boundary meets the degree-ordered DP halfway; reachable_boundaries
     # runs the whole DP in the input labels, an independent path.  Reach
     # each case of the meeting rule: the backward side stops at once, takes
-    # two labels or more, or takes none because n <= 5
+    # two labels or more, or takes no edge because n <= 5; and the DP stops
+    # once its set is full, leaving edges the witness sets freely
     rng = random.Random(3203)
     cases, targets = set(), {True: 0, False: 0}
     for kind, G in _meet_cross_check_graphs(rng):
         reach = reachable_boundaries(G)
         zero = (0,) * G.n
-        low, _, residuals = verifier._backward(
-            G, verifier._degree_labels(G), 0)
-        top = verifier._degree_labels(G).index(G.n - 1)
+        label = verifier._degree_labels(G)
+        low, back, residuals = verifier._backward(G, label, 0)
+        top = label.index(G.n - 1)
         if kind == "sparse" and {(top in e, e[0] == top) for e in G.edges} >= {
                 (True, True), (True, False)}:
             cases.add("digitless vertex both ways")
         if kind == "dense" and low == 0:
             cases.add("at once")
+            layers = []
+            verifier._reach(G, label, layers)
+            if len(layers) < G.m:
+                cases.add("full before the last edge")
         elif kind == "sparse" and low >= 2 and residuals:
             cases.add("two labels or more")
         elif kind == "small":
-            assert low == 0
+            assert not back
             cases.add("none")
         assert is_3_flowable(G) == reach[zero]
         orient = has_modular_3_orientation(G)
@@ -323,7 +330,7 @@ def test_meeting_halfway_matches_reachable_boundaries():
                 assert boundary(G, flow).values == b
             targets[reach[b]] += 1
     assert cases == {"at once", "two labels or more", "none",
-                     "digitless vertex both ways"}
+                     "digitless vertex both ways", "full before the last edge"}
     assert targets[True] > 20 and targets[False] > 20, targets
 
 
