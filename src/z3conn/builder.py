@@ -44,8 +44,8 @@ from .graph import Multigraph, count_degrees
 from .reducer import (Certificate, Step, _replay, _State, base_step, certify,
                       lift_step, two_cycle_step, wheel_step)
 from .seqcore import (EXCEPTION_KINDS, Classification, DegreeSequence, Kind,
-                      Route, classify, classify_shape, render_runs,
-                      residual_runs, run_entry)
+                      Route, classify, classify_shape, no_z3_realization,
+                      render_runs, residual_runs, run_entry)
 
 FALLBACK_LIMIT = 10 ** 6
 
@@ -68,7 +68,9 @@ class _Pack:
 class RealizationResult:
     sequence: DegreeSequence
     classification: Classification
-    status: str  # "realized" | "exception" | "not_graphic" | "unsupported"
+    # "realized" | "exception" | "none" (a sequence-level rule rejects every
+    # realization; the trace names it) | "not_graphic" | "unsupported"
+    status: str
     graph: Multigraph | None = None
     certificate: Certificate | None = None
     proof: str | None = None  # "certificate" | "oracle"
@@ -79,12 +81,15 @@ def realize(seq: DegreeSequence) -> RealizationResult:
     """Realize a degree sequence as a Z3-connected simple graph.
 
     Covered sequences always succeed with a certificate that replays (a
-    failure is a bug and raises).  Out-of-coverage sequences with n <=
-    ENUMERATE_N_MAX get `first_z3_connected` over at most FALLBACK_LIMIT
-    realizations up to swapping twin vertices (it returns the first
-    Z3-connected labeled realization).  When it finds none the status is
-    "unsupported", never a wrong negative, and the trace says whether every
-    candidate was checked or the limit stopped the search.
+    failure is a bug and raises).  An out-of-coverage sequence that is
+    sparse (sum of degrees < 4n - 4, Lemma A) or has an entry 1 is
+    "none" at any n, its trace naming the rule.  Other out-of-coverage
+    sequences with n <= ENUMERATE_N_MAX get `first_z3_connected` over at
+    most FALLBACK_LIMIT realizations up to swapping twin vertices (it
+    returns the first Z3-connected labeled realization).  When it finds
+    none the status is "unsupported", never a wrong negative, and the
+    trace says whether every candidate was checked or the limit stopped
+    the search.
     """
     c = classify(seq)
     if c.kind == Kind.NOT_GRAPHIC:
@@ -107,6 +112,8 @@ def realize(seq: DegreeSequence) -> RealizationResult:
                 f"{rr.message}")
         return RealizationResult(seq, c, "realized", G, cert,
                                  "certificate", tuple(pack.trace))
+    if why_none := no_z3_realization(seq):
+        return RealizationResult(seq, c, "none", trace=(why_none,))
     # the first labeled realization the oracle accepts is realized; that
     # oracle check is its proof unless certify finds a certificate as well
     try:

@@ -3,9 +3,10 @@
 Subcommands: classify, realize, verify, certify, enumerate, sweep.
 Exit codes: 0 for a positive answer (realized, Z3-connected, certified,
 sweep clean), 1 for a negative mathematical answer (not graphic, exception
-family, not Z3-connected, no certificate found), 2 for usage, input,
-size-limit or missing-package errors (an oracle that cannot allocate its
-arrays, `enumerate --dedup` without networkx).
+family, `none`: sparse or with a degree-1 entry, not Z3-connected, no
+certificate found), 2 for usage, input, size-limit or missing-package
+errors (an oracle that cannot allocate its arrays, `enumerate --dedup`
+without networkx) and for `realize`'s `unsupported`.
 """
 from __future__ import annotations
 
@@ -92,7 +93,7 @@ def _cmd_classify(args) -> int:
 def _cmd_realize(args) -> int:
     seq = parse_sequence(args.sequence)
     r = builder.realize(seq)
-    if r.status in ("not_graphic", "exception"):
+    if r.status in ("not_graphic", "exception", "none"):
         print(f"# {r.status}: {seq.render()}")
         for line in r.trace:
             print(f"# {line}")

@@ -18,8 +18,12 @@ of equal degree the first graph in labeled order is never pruned.
 `first_z3_connected` (serving `verify_exception` and `realize`'s fallback,
 since relabeling keeps Z3-connectivity) and `dedup=True` therefore return
 exactly what a scan of every labeled graph would, from far fewer
-candidates.  Only `dedup=True` (the first graph per isomorphism class, by
-Weisfeiler-Lehman hash and an exact isomorphism test) imports networkx.
+candidates.  Before any candidate, and before the size cap,
+`first_z3_connected` asks `seqcore.no_z3_realization`: a sparse sequence
+(sum of degrees < 4n - 4) or one with an entry 1 has no Z3-connected
+realization, so it returns none.  Only `dedup=True` (the first graph per
+isomorphism class, by Weisfeiler-Lehman hash and an exact isomorphism
+test) imports networkx.
 """
 from __future__ import annotations
 
@@ -27,7 +31,8 @@ import itertools
 from typing import Iterator
 
 from .graph import Multigraph
-from .seqcore import EXCEPTION_KINDS, DegreeSequence, classify, is_graphic
+from .seqcore import (EXCEPTION_KINDS, DegreeSequence, classify, is_graphic,
+                      no_z3_realization)
 from .verifier import is_z3_connected
 
 ENUMERATE_N_MAX = 12
@@ -132,7 +137,13 @@ def first_z3_connected(seq: DegreeSequence, limit: int | None = None
                        ) -> tuple[Multigraph | None, int]:
     """The first Z3-connected labeled realization (None if the first `limit`
     candidates, by default all, hold none) and the number of candidates
-    tried: realizations up to swapping twin vertices."""
+    tried: realizations up to swapping twin vertices.
+
+    A sequence that `no_z3_realization` rejects (sparse, or with an entry
+    1) returns (None, 0) before any candidate is built, at any n.
+    """
+    if no_z3_realization(seq):
+        return None, 0
     tried = 0
     graphs = itertools.islice(_realizations(seq, twins=True), limit)
     for tried, G in enumerate(graphs, start=1):
@@ -142,10 +153,12 @@ def first_z3_connected(seq: DegreeSequence, limit: int | None = None
 
 
 def verify_exception(seq: DegreeSequence) -> bool:
-    """Confirm by exhaustion that no realization is Z3-connected.
+    """Confirm that no realization is Z3-connected.
 
     Only meaningful for sequences classified into an exception family;
-    anything else raises.
+    anything else raises.  The sparse family (n-3, 3^(n-1)), with
+    m = 2n - 3, is confirmed by Lemma A at any n, with no candidate
+    built; the others by the exhaustive scan of `first_z3_connected`.
     """
     c = classify(seq)
     if c.kind not in EXCEPTION_KINDS:

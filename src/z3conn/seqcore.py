@@ -153,6 +153,25 @@ def is_graphic(seq: DegreeSequence | Sequence[int]) -> bool:
     return True
 
 
+def no_z3_realization(seq: DegreeSequence) -> str | None:
+    """The rule, as a trace line, by which no realization of seq is
+    Z3-connected; None when neither rule fires.
+
+    Every realization has m = sum(d)/2 edges, so Lemma A (m >= 2n - 2,
+    see `verifier`) rejects all of them when sum(d) < 4n - 4.  A degree-1
+    vertex v has out(v) <= 1 in every orientation, so none meets the
+    target gamma(v) = 2 (see `verifier`).  One pass over the degrees.
+    """
+    n, total = seq.n, sum(seq.degrees)
+    if total < 4 * n - 4:
+        return (f"no Z3-connected realization: degree sum {total} < "
+                f"4n - 4 = {4 * n - 4}, so m < 2n - 2 (Lemma A)")
+    if seq.degrees[-1] == 1:
+        return ("no Z3-connected realization: a degree-1 vertex has "
+                "out(v) <= 1 and cannot meet gamma(v) = 2")
+    return None
+
+
 def render_runs(runs: list[tuple[int, int]]) -> str:
     """`DegreeSequence.render` of the sequence with these runs."""
     return "(" + ",".join(str(v) if c == 1 else f"{v}^{c}" for v, c in runs) + ")"

@@ -41,7 +41,11 @@ over every gamma with sum gamma = m mod 3.  Take gamma = 2 at every
 vertex but one: an orientation that meets it has out(v) >= 2 at n - 1
 vertices, so m = sum out(v) >= 2(n - 1).  Even wheels attain
 m = 2n - 2, so the bound is sharp; the paper's exception family
-(n-3, 3^(n-1)) has m = 2n - 3.
+(n-3, 3^(n-1)) has m = 2n - 3.  In the same terms, no graph with a
+degree-1 vertex v (and n >= 2) is Z3-connected: take gamma(v) = 2 and
+fix the sum at any other vertex; every orientation has out(v) <= 1.
+`seqcore.no_z3_realization` applies both facts to a degree sequence,
+since all its realizations have m = sum(d)/2.
 """
 from __future__ import annotations
 

@@ -43,6 +43,25 @@ def test_statuses_for_negative_inputs():
     assert run("(7^2,3^6)").status == "exception"
 
 
+def test_sparse_and_degree_1_sequences_are_none_at_any_n(monkeypatch):
+    # out of coverage and rejected by the sequence rule before the scan or
+    # its size cap: the trace names the rule
+    def forbidden(*args, **kwargs):
+        raise AssertionError("fallback search used on a none sequence")
+
+    monkeypatch.setattr(z3conn.builder, "first_z3_connected", forbidden)
+    for text in ["(3^20)", "(4^5,3^6)", "(5,4^4,3^7)", "(4^6,3^6)",
+                 "(3^10,2)", "(4,4,3^12)", "(3^1000,2)"]:
+        res = run(text)
+        assert res.classification.kind == Kind.OUT_OF_COVERAGE
+        assert res.status == "none", text
+        assert len(res.trace) == 1 and res.trace[0].endswith("(Lemma A)")
+    res = run("(5^4,4^2,1^2)")
+    assert res.status == "none"
+    assert res.trace == ("no Z3-connected realization: a degree-1 vertex "
+                         "has out(v) <= 1 and cannot meet gamma(v) = 2",)
+
+
 def test_dominating_vertex_families():
     for text in ["(4,3^4)", "(5,3^5)", "(5,4^2,3^3)", "(5,5,4,4,3,3)",
                  "(7,3^7)"]:
@@ -442,8 +461,9 @@ def test_out_of_coverage_fallback_finds_a_tight_sequence():
 
 
 def test_out_of_coverage_fallback_exhaustion():
-    # every realization fails verification; search reports honestly
-    for text, total in [("(3^4,2)", 3), ("(4^2,3^2,2^2)", 7)]:
+    # dense (m >= 2n - 2) and every realization fails verification; search
+    # reports honestly
+    for text, total in [("(4^4,2^2)", 3), ("(5^2,4^2,2^3)", 3)]:
         res = run(text)
         assert res.classification.kind == Kind.OUT_OF_COVERAGE
         assert res.status == "unsupported"
@@ -453,17 +473,18 @@ def test_out_of_coverage_fallback_exhaustion():
 
 
 def test_out_of_coverage_trace_names_the_search_limit(monkeypatch):
-    monkeypatch.setattr(z3conn.builder, "FALLBACK_LIMIT", 5)
-    res = run("(4^2,3^2,2^2)")
+    monkeypatch.setattr(z3conn.builder, "FALLBACK_LIMIT", 2)
+    res = run("(4^4,2^2)")
     assert res.status == "unsupported"
     assert res.trace == ("out of coverage; fallback search stopped at its "
-                         "limit of 5 realizations up to swapping twin "
+                         "limit of 2 realizations up to swapping twin "
                          "vertices, none Z3-connected",)
 
 
 def test_out_of_coverage_beyond_search_size():
-    # too large for the fallback search
-    res = run("(4,4,3^12)")
+    # dense, so no sequence rule decides it, and too large (n = 14) for
+    # the fallback search
+    res = run("(5^6,3^8)")
     assert res.status == "unsupported"
     assert res.trace == ("out of coverage and beyond fallback search size",)
 

@@ -164,9 +164,12 @@ def test_realize_negative_and_unsupported():
     code, out, _ = run_cli("realize", "(5,4,3^4)")
     assert code == 1
     assert "# not_graphic" in out
-    code, out, err = run_cli("realize", "(4,4,3^12)")
+    code, out, err = run_cli("realize", "(5^6,3^8)")
     assert code == 2
     assert "unsupported" in err
+    code, out, _ = run_cli("realize", "(4,4,3^12)")
+    assert code == 1
+    assert out.startswith("# none: (4^2,3^12)\n# no Z3-connected realization")
 
 
 def test_verify_negative_graph(tmp_path):

@@ -3,10 +3,12 @@ import random
 
 import pytest
 
-from z3conn.enumerate import (EnumerationCapError, all_realizations,
-                              count_isomorphism_classes, first_z3_connected,
-                              verify_exception)
-from z3conn.seqcore import DegreeSequence, is_graphic, parse_sequence
+import z3conn.enumerate
+from z3conn.enumerate import (EnumerationCapError, _realizations,
+                              all_realizations, count_isomorphism_classes,
+                              first_z3_connected, verify_exception)
+from z3conn.seqcore import (DegreeSequence, is_graphic, no_z3_realization,
+                            parse_sequence)
 from z3conn.verifier import is_z3_connected
 
 from helpers import brute_force_graphic, erdos_gallai_reference
@@ -132,7 +134,36 @@ def test_first_z3_connected_scans_in_labeled_order():
     assert first_z3_connected(seq("(5,3^5)")) == (None, 1)
     assert first_z3_connected(DegreeSequence((3, 3, 1, 1))) == (None, 0)
     with pytest.raises(EnumerationCapError):
-        first_z3_connected(seq("(3^14)"))
+        first_z3_connected(seq("(4^14)"))
+
+
+def test_the_sequence_rule_builds_no_candidate(monkeypatch):
+    # sparse sequences stop before the scan and its size cap, so the whole
+    # (n-3, 3^(n-1)) family is confirmed at any n
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a candidate was built")
+
+    monkeypatch.setattr(z3conn.enumerate, "_realizations", forbidden)
+    assert verify_exception(seq("(17,3^19)"))
+    assert first_z3_connected(seq("(4,3^6)")) == (None, 0)
+
+
+def test_the_sequence_rule_agrees_with_the_scan():
+    # every graphic sequence with n <= 8 that no_z3_realization rejects:
+    # the scan it replaces (every labeled realization up to swapping twins,
+    # which keeps the first Z3-connected one) finds no Z3-connected graph.
+    # For the dense ones, all with an entry 1, the oracle runs its DP; the
+    # sparse ones meet Lemma A, which test_lemma_a_against_the_dp checks
+    fired = dense = 0
+    for n in range(1, 9):
+        for s in sequences_with_positive_degrees(n):
+            if no_z3_realization(s) is None:
+                continue
+            fired += 1
+            dense += sum(s.degrees) >= 4 * n - 4
+            assert not any(map(is_z3_connected,
+                               _realizations(s, twins=True))), s.render()
+    assert (fired, dense) == (668, 198)
 
 
 def sequences_with_positive_degrees(n):

@@ -5,8 +5,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from z3conn.seqcore import (Classification, DegreeSequence, Kind, Route,
                             SequenceError, SequenceSyntaxError, classify,
-                            classify_shape, is_graphic, parse_sequence,
-                            render_runs, residual, residual_runs)
+                            classify_shape, is_graphic, no_z3_realization,
+                            parse_sequence, render_runs, residual,
+                            residual_runs)
+from z3conn.sweep import graphic_sequences
 
 from helpers import (brute_force_graphic, erdos_gallai_reference, naive_render,
                      naive_residual, naive_runs, naive_shape)
@@ -239,3 +241,15 @@ def test_classify_exceptions_require_min_degree_3_pattern():
     # exception tags only fire on the exact patterns
     assert classify(parse_sequence("(5,4,3^4)")).kind is Kind.NOT_GRAPHIC
     assert classify(parse_sequence("(5,4,3^5)")).kind is Kind.COVERED
+
+
+def test_the_sequence_rule_never_fires_on_a_covered_sequence():
+    # the paper realizes every covered sequence, so neither Lemma A nor the
+    # degree-1 rule may reject one
+    covered = 0
+    for n in range(4, 11):
+        for seq in graphic_sequences(n):
+            if classify(seq).kind is Kind.COVERED:
+                assert no_z3_realization(seq) is None, seq.render()
+                covered += 1
+    assert covered == 4340
