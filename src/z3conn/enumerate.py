@@ -21,9 +21,9 @@ exactly what a scan of every labeled graph would, from far fewer
 candidates.  Before any candidate, and before the size cap,
 `first_z3_connected` asks `seqcore.no_z3_realization`: a sparse sequence
 (sum of degrees < 4n - 4) or one with an entry 1 has no Z3-connected
-realization, so it returns none.  Only `dedup=True` (the first graph per
-isomorphism class, by Weisfeiler-Lehman hash and an exact isomorphism
-test) imports networkx.
+realization, so it returns (None, 0).  Only `dedup=True` (the first
+graph per isomorphism class, by Weisfeiler-Lehman hash and an exact
+isomorphism test) imports networkx.
 """
 from __future__ import annotations
 
